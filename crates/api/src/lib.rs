@@ -323,9 +323,6 @@ pub struct RecoveryReport {
     /// Stranded removal marks force-completed during the audit (the marked
     /// node's half-done splice was finished and the node orphaned).
     pub marks_completed: usize,
-    /// Version words whose seqlock parity was left odd by the unwinding
-    /// writer and repaired to the stable (even) phase.
-    pub parity_repairs: usize,
     /// Recovery generation after the un-poison CAS (strictly increasing per
     /// tree; generation 0 is the tree as constructed).
     pub generation: u32,
@@ -338,8 +335,7 @@ impl std::fmt::Display for RecoveryReport {
         write!(
             f,
             "recovered ({}) from `{}` in {:?}: drained {} writer(s), salvaged {} node(s), \
-             orphaned {}, completed {} stranded mark(s), repaired {} version word(s), \
-             generation {}",
+             orphaned {}, completed {} stranded mark(s), generation {}",
             self.strategy,
             self.cause,
             self.elapsed,
@@ -347,7 +343,6 @@ impl std::fmt::Display for RecoveryReport {
             self.nodes_salvaged,
             self.nodes_orphaned,
             self.marks_completed,
-            self.parity_repairs,
             self.generation
         )
     }
@@ -557,7 +552,6 @@ mod tests {
             nodes_salvaged: 10,
             nodes_orphaned: 3,
             marks_completed: 1,
-            parity_repairs: 4,
             generation: 1,
             elapsed: std::time::Duration::from_micros(50),
         };

@@ -35,8 +35,8 @@ fn main() {
     );
     let mut panels = Vec::new();
     let mut metrics = Vec::new();
-    // 10c-60i-30r is the ISSUE 8 update-dominated extension: it stresses
-    // the writers' lock windows, where the optimistic path earns its keep.
+    // 10c-60i-30r is an update-dominated extension of the paper's mixes:
+    // it stresses the writers' lock windows.
     for mix in [Mix::C10_I60_R30, Mix::C50_I25_R25, Mix::C70_I20_R10, Mix::C100] {
         for &range in &scale.ranges {
             let (panel, m) = run_panel_with_metrics(mix, range, &algos, &scale);

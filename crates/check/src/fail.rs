@@ -70,18 +70,11 @@ pub enum FailPoint {
     TreeTryLock,
     /// Node allocation: simulate allocator exhaustion.
     ArenaAlloc,
-    /// Optimistic write path: inside the short succ-lock window, after the
-    /// under-lock version confirm succeeded and before the link flips — the
-    /// only lock-held window the optimistic protocol retains. A forced
-    /// failure unlocks and restarts the round as a validation failure, so
-    /// an always-failing rule sends every mutation through the blocking
-    /// fallback.
-    OptimisticWindowLocked,
 }
 
 impl FailPoint {
     /// Number of cataloged failpoints.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every failpoint, in `repr` order.
     pub const ALL: [FailPoint; Self::COUNT] = [
@@ -93,7 +86,6 @@ impl FailPoint {
         FailPoint::PeAfterMark,
         FailPoint::TreeTryLock,
         FailPoint::ArenaAlloc,
-        FailPoint::OptimisticWindowLocked,
     ];
 
     /// Stable kebab-case name (used in error messages and reports).
@@ -107,7 +99,6 @@ impl FailPoint {
             FailPoint::PeAfterMark => "pe-after-mark",
             FailPoint::TreeTryLock => "tree-try-lock",
             FailPoint::ArenaAlloc => "arena-alloc",
-            FailPoint::OptimisticWindowLocked => "optimistic-window-locked",
         }
     }
 

@@ -84,13 +84,6 @@ impl<K: Key, V: Value> LoTree<K, V> {
             nn.left_height.store(cn.right_height.load(Ordering::Relaxed), Ordering::Relaxed);
             cn.set_height(false, nn.subtree_height());
         }
-        // Conservative seqlock bumps (registered in ordering_policy.toml
-        // [[version.bump_sites]]): both relinked nodes changed physical
-        // slots without their succ locks; any in-flight optimistic snapshot
-        // that read through them re-validates rather than reasoning about
-        // rotation windows.
-        nn.bump_version();
-        cn.bump_version();
         lo_metrics::span(lo_metrics::Phase::Rotation, span);
     }
 

@@ -15,8 +15,7 @@
 //!            │ left, right  (layout descent, Algorithm 1)   │  path only —
 //!            │ succ, pred   (ordering chase, Algorithm 2)   │  writers dirty
 //!            │ value        (read by get)                   │  this line only
-//!            │ mark, zombie (liveness flags, read unlocked) │  at the lin
-//!            │ version      (succ-window seqlock, ISSUE 8)  │  point & bump
+//!            │ mark, zombie (liveness flags, read unlocked) │  at lin. points
 //! offset  64 ├──────────────────────────────────────────────┤
 //!            │ parent       (writers' upward walks only)    │  cold: dirtied
 //!            │ left/right height (AtomicI8; rebalancing)    │  by every lock
@@ -24,41 +23,12 @@
 //!            └──────────────────────────────────────────────┘  height update
 //! ```
 //!
-//! For the benchmark configuration `Node<u64, u64>` the hot half is 62 bytes
-//! (58 + the 4-byte `version` word) and the compile-time assertions at the
-//! bottom of this file pin every hot field inside the first 64-byte line (and
-//! the whole node under two lines). Lock traffic (both `NodeLock`s), height
-//! churn from rebalancing, and `parent` rewrites from rotations all land on
-//! the cold line, so concurrent writers do not invalidate the line readers
-//! are chasing through. `version` sits on the hot line deliberately: the
-//! optimistic write path (ISSUE 8) reads it on every window validation, and
-//! it is only written when the succ window genuinely changes — the cases
-//! where the hot line was about to be dirtied anyway.
-//!
-//! # The succ-window version (ISSUE 8 optimistic writes)
-//!
-//! `version` is a per-node seqlock word covering the node's *succ window* —
-//! the fields a writer may change while holding this node's `succ_lock`:
-//! `n.succ`, `n.mark`, `succ(n).pred`, `succ(n).zombie`, `succ(n).value`.
-//! Discipline (the single enforcement point is `sync.rs`, whose versioned
-//! lock wrappers are the only succ-lock entry points):
-//!
-//! * **even** = window stable, **odd** = writer active;
-//! * acquiring `succ_lock` bumps the version to odd (`fetch_add(1, AcqRel)`),
-//!   releasing it bumps back to even (`fetch_add(1, Release)`);
-//! * structure changes made *outside* the node's succ lock (rotations and
-//!   2-children relocations rewriting tree links) bump by 2
-//!   ([`Node::bump_version`], parity-preserving) so in-flight optimistic
-//!   validations of this node conservatively restart.
-//!
-//! An optimistic reader snapshots `v1 = version` (Acquire; odd ⇒ restart),
-//! reads the window fields (Acquire), and re-reads the version: `v2 == v1`
-//! proves no writer ran between the two reads, because any field store it
-//! could have observed was a `Release` store made *after* the odd bump — the
-//! Acquire field load would then force the second version read to observe
-//! that bump (coherence). A stale field with a fresh version is the other
-//! direction and merely causes a spurious restart. ABA needs 2³¹ full lock
-//! cycles of one node inside one operation's window read — not realizable.
+//! For the benchmark configuration `Node<u64, u64>` the hot half is 58 bytes,
+//! and the compile-time assertions at the bottom of this file pin every hot
+//! field inside the first 64-byte line (and the whole node under two lines).
+//! Lock traffic (both `NodeLock`s), height churn from rebalancing, and
+//! `parent` rewrites from rotations all land on the cold line, so concurrent
+//! writers do not invalidate the line readers are chasing through.
 //!
 //! # Field-protection protocol (who may write what)
 //!
@@ -80,9 +50,6 @@
 //!   `succ_lock`; read without locks by lookups.
 //! * `value` — pointer swapped under the predecessor's `succ_lock`; read
 //!   without locks (epoch-protected) by `get`.
-//! * `version` — seqlock word of this node's succ window (see above). RMW
-//!   only: odd/even bumps by the `sync.rs` versioned lock wrappers, +2 bumps
-//!   by the sanctioned relink sites (`lo-lint` pins the exact set).
 //!
 //! # Memory-ordering audit (ISSUE 3)
 //!
@@ -95,7 +62,6 @@
 //! | `pred`/`succ`           | `Release` | `Acquire` | `Acquire` |
 //! | `value`                 | `AcqRel` swap | `Acquire` | — |
 //! | `mark`/`zombie`         | `Release` | `Acquire` | `Relaxed` |
-//! | `version`               | `AcqRel`/`Release` fetch_add | `Acquire` | `Acquire` |
 //! | `left_height`/`right_height` | `Relaxed` | `Relaxed` (heuristic) | `Relaxed` |
 //!
 //! Justifications:
@@ -124,15 +90,6 @@
 //!   (paper §5.2) is per-location: an unmarked read linearizes before the
 //!   mark store, and a removed node is unreachable through fresh pointer
 //!   loads once the splice stores land.
-//! * **`version` is RMW-only, `AcqRel` on the odd (writer-entry) bump and
-//!   `Release` on the even (writer-exit) and +2 relink bumps.** The even
-//!   bump's `Release` orders every window store before the stable value a
-//!   validating reader may accept; the odd bump's `AcqRel` additionally
-//!   orders the writer's own window reads after lock entry. Reader loads
-//!   are `Acquire` so that the `v1` read is ordered before the field reads
-//!   it guards, both lock-free (window validation) and under the lock (the
-//!   `v1 + 1` confirm after a `try_lock`, which must also observe
-//!   concurrent +2 relink bumps that the lock does not exclude).
 //! * **Heights are `Relaxed` everywhere**: writes happen under `tree_lock`;
 //!   unlocked reads (`bf` heuristics in the rebalancer) are explicitly
 //!   tolerant of stale values by the relaxed-balance design (Bougé et al.) —
@@ -144,7 +101,7 @@
 //! pointer they loaded.
 
 use lo_reclaim::{Atomic, Guard, Shared};
-use std::sync::atomic::{AtomicBool, AtomicI8, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI8, Ordering};
 
 use crate::bound::Bound;
 use crate::sync::NodeLock;
@@ -173,10 +130,6 @@ pub(crate) struct Node<K, V> {
     pub(crate) mark: AtomicBool,
     /// Logically deleted (partially-external variant only).
     pub(crate) zombie: AtomicBool,
-    /// Succ-window seqlock word (even = stable, odd = writer active); see
-    /// the module docs. Bumped only through the `sync.rs` versioned lock
-    /// wrappers and the pinned relink sites ([`Self::bump_version`]).
-    pub(crate) version: AtomicU32,
 
     // ------------------------------------------------------------------
     // Cold half: fields only update paths touch. Lock words and height
@@ -199,8 +152,7 @@ pub(crate) struct Node<K, V> {
 /// Compile-time layout regression tests (ISSUE 3 acceptance criteria): the
 /// hot half of the benchmark configuration `Node<u64, u64>` must fit in one
 /// 64-byte cache line, and the whole node in two. `Bound<u64>` is 16 bytes,
-/// the five pointers 40, the two flags 2, the version word 4 (at the next
-/// 4-aligned offset, 60) → hot half 62 ≤ 64.
+/// the five pointers 40, the two flags 2 → hot half 58 ≤ 64.
 const _: () = {
     use std::mem::{align_of, offset_of, size_of};
     type N = Node<u64, u64>;
@@ -214,7 +166,6 @@ const _: () = {
     assert!(offset_of!(N, value) + 8 <= 64);
     assert!(offset_of!(N, mark) < 64);
     assert!(offset_of!(N, zombie) < 64);
-    assert!(offset_of!(N, version) + 4 <= 64);
     // Every cold field must START at or after the line boundary, so writer
     // traffic never dirties the readers' line.
     assert!(offset_of!(N, parent) >= 64);
@@ -233,7 +184,6 @@ impl<K, V> Node<K, V> {
             value: Atomic::null(),
             mark: AtomicBool::new(false),
             zombie: AtomicBool::new(false),
-            version: AtomicU32::new(0),
             left: Atomic::null(),
             right: Atomic::null(),
             parent: Atomic::null(),
@@ -314,34 +264,6 @@ impl<K, V> Node<K, V> {
     pub(crate) fn is_removed(&self) -> bool {
         self.mark.load(Ordering::Acquire) || self.zombie.load(Ordering::Acquire)
     }
-
-    /// Loads the succ-window version for optimistic validation (odd means a
-    /// writer is inside the window right now). Acquire orders the load
-    /// before the window-field reads it guards.
-    #[inline]
-    pub(crate) fn read_version(&self) -> u32 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// Parity-preserving version bump for relink sites that rewrite this
-    /// node's links *without* holding its `succ_lock` (rotations, 2-children
-    /// relocations): in-flight optimistic validations of this node restart
-    /// conservatively. The atomic RMW composes safely with the lock-coupled
-    /// odd/even bumps running concurrently.
-    #[inline]
-    pub(crate) fn bump_version(&self) {
-        self.version.fetch_add(2, Ordering::Release);
-    }
-
-    /// Recovery-audit hook: re-evens a version word left odd by a writer
-    /// that died inside its lock window (see
-    /// [`sync::repair_version_parity`](crate::sync::repair_version_parity)
-    /// for the protocol argument). Returns `true` if a repair was needed.
-    /// Keeps `recover.rs` off the raw `version` field.
-    #[inline]
-    pub(crate) fn repair_version_parity(&self) -> bool {
-        crate::sync::repair_version_parity(&self.version)
-    }
 }
 
 /// Instrumented lock acquire/release wrappers — the **single enforcement
@@ -365,33 +287,25 @@ impl<K: std::any::Any + Copy, V> Node<K, V> {
     }
 
     /// Blocking acquire of this node's `succLock` (rules 1 and 2 apply).
-    /// The versioned wrapper bumps `version` to odd on entry, so optimistic
-    /// window validations of this node restart instead of racing the writer.
     #[inline]
     pub(crate) fn lock_succ(&self) {
-        self.succ_lock.lock_traced_versioned(
-            &self.version,
+        self.succ_lock.lock_traced(
             lo_check::LockClass::Succ,
             self.ldep_rank(),
             lo_check::AcquireHow::Block,
         );
     }
 
-    /// Non-blocking acquire of this node's `succLock` (version bumped to odd
-    /// on success).
+    /// Non-blocking acquire of this node's `succLock`.
     #[inline]
     pub(crate) fn try_lock_succ(&self) -> bool {
-        self.succ_lock.try_lock_traced_versioned(
-            &self.version,
-            lo_check::LockClass::Succ,
-            self.ldep_rank(),
-        )
+        self.succ_lock.try_lock_traced(lo_check::LockClass::Succ, self.ldep_rank())
     }
 
-    /// Release of this node's `succLock` (version bumped back to even).
+    /// Release of this node's `succLock`.
     #[inline]
     pub(crate) fn unlock_succ(&self) {
-        self.succ_lock.unlock_traced_versioned(&self.version);
+        self.succ_lock.unlock_traced();
     }
 
     /// Blocking acquire of this node's `treeLock` anchoring a fresh chain:
@@ -524,28 +438,7 @@ mod tests {
         assert_eq!(offset_of!(N, value), 48);
         assert_eq!(offset_of!(N, mark), 56);
         assert_eq!(offset_of!(N, zombie), 57);
-        // The seqlock word lands at the next 4-aligned hot slot (ISSUE 8).
-        assert_eq!(offset_of!(N, version), 60);
         assert!(offset_of!(N, parent) >= 64, "cold half must start on line 2");
         assert!(size_of::<N>() <= 128);
-    }
-
-    /// The version word's lock-coupled parity discipline: odd while the succ
-    /// lock is held, even after release, +2 bumps preserve parity.
-    #[test]
-    fn version_parity_follows_succ_lock() {
-        let n = Node::<i64, u64>::new_key(1, 2);
-        assert_eq!(n.read_version() % 2, 0);
-        n.lock_succ();
-        assert_eq!(n.read_version() % 2, 1, "odd while writer active");
-        n.unlock_succ();
-        assert_eq!(n.read_version() % 2, 0, "even once stable");
-        let before = n.read_version();
-        n.bump_version();
-        assert_eq!(n.read_version(), before + 2, "relink bump preserves parity");
-        assert!(n.try_lock_succ());
-        assert_eq!(n.read_version() % 2, 1);
-        n.unlock_succ();
-        assert_eq!(n.read_version() % 2, 0);
     }
 }

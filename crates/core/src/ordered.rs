@@ -468,19 +468,18 @@ impl<K: Key, V: Value> LoTree<K, V> {
     }
 
     /// Atomically removes and returns the smallest key (with its value),
-    /// or `None` if the map is empty. The successful `remove` is the
-    /// linearization point; the cursor only nominates candidates, so the
-    /// pop retries while losing races.
+    /// or `None` if the map is empty. The successful remove is the
+    /// linearization point, and the value returned is the one it unlinked;
+    /// the cursor only nominates candidates, so the pop retries while
+    /// losing races.
     pub(crate) fn pop_min(&self) -> Option<(K, V)>
     where
         V: Clone,
     {
         loop {
             let k = OrderedCursor::ascending(self, Bound::NegInf, false).next()?;
-            if let Some(v) = self.get(&k) {
-                if self.remove(&k) {
-                    return Some((k, v));
-                }
+            if let Some(popped) = self.pop_key(k) {
+                return Some(popped);
             }
         }
     }
@@ -492,12 +491,21 @@ impl<K: Key, V: Value> LoTree<K, V> {
     {
         loop {
             let k = OrderedCursor::descending(self, Bound::PosInf, false).next()?;
-            if let Some(v) = self.get(&k) {
-                if self.remove(&k) {
-                    return Some((k, v));
-                }
+            if let Some(popped) = self.pop_key(k) {
+                return Some(popped);
             }
         }
+    }
+
+    /// Removes `k` and returns it with the value the removal unlinked, or
+    /// `None` if a racer removed `k` first.
+    fn pop_key(&self, k: K) -> Option<(K, V)>
+    where
+        V: Clone,
+    {
+        let mut removed = None;
+        self.remove_with(&k, |v| removed = Some(v.clone()));
+        removed.map(|v| (k, v))
     }
 }
 

@@ -30,49 +30,20 @@ use crate::node::{nref, Node};
 use crate::poison::{self, RestartBudget};
 use crate::sync::ContentionBackoff;
 use crate::tree::LoTree;
-use crate::update::RestartKind;
 use lo_api::{Key, Value};
 use lo_metrics::{record, Event};
 
 impl<K: Key, V: Value> LoTree<K, V> {
-    /// Blocking remove path for partially-external mode (the paper's shape;
-    /// the optimistic path enters at [`Self::remove_pe_locked`] instead).
-    /// On entry: `p.succLock` is held, `s` is `p.succ` and holds the key,
-    /// validation passed. Consumes `p.succLock`. Returns whether the
-    /// removal succeeded.
+    /// Partially-external removal. On entry: `p.succLock` and `s.succLock`
+    /// are both held and `s` is validated as the key's live (non-zombie)
+    /// holder. Consumes both succ locks. Always succeeds: either a logical
+    /// (zombie) or a physical removal.
     pub(crate) fn remove_pe<'g>(
         &self,
         p: Shared<'g, Node<K, V>>,
         s: Shared<'g, Node<K, V>>,
         g: &'g Guard,
-    ) -> bool {
-        // Relaxed: `s.zombie` is only written under `p.succ_lock` (`p` is
-        // `s`'s predecessor), which we hold.
-        if nref(s).zombie.load(Ordering::Relaxed) {
-            // Already logically deleted.
-            nref(p).unlock_succ();
-            return false;
-        }
-        // Take s's succ lock up front: the physical path needs it, and the
-        // lock order (succ locks before tree locks) forbids taking it later.
-        nref(s).lock_succ();
-        // Same succ-lock/tree-lock boundary as the base remove path.
-        fp::pause(FailPoint::RemoveSuccTreeWindow);
-        self.remove_pe_locked(p, s, g)
-    }
-
-    /// Core of the partially-external removal. On entry: `p.succLock` and
-    /// `s.succLock` are both held and `s` is validated as the key's live
-    /// (non-zombie) holder — the blocking wrapper above checked the flag
-    /// under the lock; the optimistic caller in update.rs proved it with
-    /// the version confirm. Consumes both succ locks. Always succeeds:
-    /// either a logical (zombie) or a physical removal.
-    pub(crate) fn remove_pe_locked<'g>(
-        &self,
-        p: Shared<'g, Node<K, V>>,
-        s: Shared<'g, Node<K, V>>,
-        g: &'g Guard,
-    ) -> bool {
+    ) {
         let mut budget = RestartBudget::new();
         let mut backoff = ContentionBackoff::new();
         loop {
@@ -90,7 +61,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
                 nref(s).unlock_tree();
                 nref(s).unlock_succ();
                 nref(p).unlock_succ();
-                return true;
+                return;
             }
 
             // ≤1 child: on-time physical removal.
@@ -98,10 +69,9 @@ impl<K: Key, V: Value> LoTree<K, V> {
             // Children are stable (s.treeLock held since before lock_parent).
             let child = if r.is_null() { l } else { r };
             if !child.is_null() && !nref(child).try_lock_tree() {
-                record(Event::TreeLockRestart);
                 nref(parent).unlock_tree();
                 nref(s).unlock_tree();
-                self.writer_restart(&mut budget, RestartKind::LockContention);
+                self.writer_restart(&mut budget, Event::TreeLockRestart);
                 backoff.pause();
                 continue; // retry the tree-lock phase
             }
@@ -139,7 +109,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
             // The unlink may have dropped the old parent to ≤1 children; if
             // it is a zombie, try to clean it up (single attempt).
             self.try_cleanup_zombie(parent, g);
-            return true;
+            return;
         }
     }
 

@@ -467,10 +467,7 @@ pub fn set_max_restarts(limit: u32) {
 /// Per-operation consecutive-restart counter. Each restart edge calls
 /// [`tick`](Self::tick); exceeding the configured bound panics through the
 /// poisoning path (a storm tripwire, not a recovery mechanism), and the
-/// high-water count feeds the `restarts-consecutive-max` gauge. Real
-/// forward progress — a successful optimistic-window confirm — resets the
-/// counter via [`note_progress`](Self::note_progress), so a long mixed
-/// operation cannot trip the bound on restarts it already absorbed.
+/// high-water count feeds the `restarts-consecutive-max` gauge.
 pub(crate) struct RestartBudget {
     count: u32,
     limit: u32,
@@ -499,14 +496,6 @@ impl RestartBudget {
                 self.count, self.limit
             ));
         }
-    }
-
-    /// Resets the consecutive-restart counter: the operation just made
-    /// verifiable progress (its optimistic window confirmed), so the storm
-    /// bound should measure *consecutive* fruitless restarts from here.
-    #[inline]
-    pub(crate) fn note_progress(&mut self) {
-        self.count = 0;
     }
 }
 
@@ -672,27 +661,6 @@ mod tests {
         for _ in 0..100_000 {
             budget.tick();
         }
-    }
-
-    #[test]
-    fn restart_budget_resets_on_progress() {
-        set_max_restarts(4);
-        let gate = WriterGate::new();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _scope = WriteScope::enter(&gate).unwrap();
-            let mut budget = RestartBudget::new();
-            // A long mixed operation: three restarts, then a confirmed
-            // window, repeatedly — must never trip a bound of four.
-            for _ in 0..8 {
-                for _ in 0..3 {
-                    budget.tick();
-                }
-                budget.note_progress();
-            }
-        }));
-        set_max_restarts(0);
-        assert!(result.is_ok(), "progress resets must keep the budget below the bound");
-        assert_eq!(gate.state(), CODE_HEALTHY);
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //!    reads are untouched throughout.
 //! 2. **Audit** — a damage classifier walks the succ chain (the layout the
 //!    protocol always repairs *first*, hence the durable truth) and the
-//!    physical layout, force-completing stranded mark splices, re-evening
-//!    stale version-word parity, and detecting the half-linked windows any
-//!    of the cataloged failpoints can leave: a chain node missing from the
+//!    physical layout, force-completing stranded mark splices, and
+//!    detecting the half-linked windows any of the cataloged failpoints can
+//!    leave: a chain node missing from the
 //!    layout, a marked orphan still in it, a mid-relocation detach, stale
 //!    heights after an interrupted rotation.
 //! 3. **Repair** — if the layout audit passes, nothing more is needed
@@ -133,7 +133,6 @@ struct Audit {
     /// equality, parent consistency, exact heights in balanced mode).
     layout_ok: bool,
     marks_completed: usize,
-    parity_repairs: usize,
 }
 
 impl<K: Key, V: Value> LoTree<K, V> {
@@ -241,15 +240,14 @@ impl<K: Key, V: Value> LoTree<K, V> {
             nodes_salvaged: audit.chain.len(),
             nodes_orphaned: audit.orphans.len(),
             marks_completed: audit.marks_completed,
-            parity_repairs: audit.parity_repairs,
             generation,
             elapsed: Duration::ZERO, // caller fills in
         })
     }
 
     /// Phase 2: walk both layouts and classify the damage, performing the
-    /// chain-local repairs (mark-splice completion, pred-mirror fixes,
-    /// parity re-evening) as it goes. Errors only if the *chain itself* is
+    /// chain-local repairs (mark-splice completion, pred-mirror fixes) as
+    /// it goes. Errors only if the *chain itself* is
     /// corrupt — damage outside the protocol's reach.
     fn audit(&self) -> Result<Audit, RecoverError> {
         let g = self.domain.pin();
@@ -259,7 +257,6 @@ impl<K: Key, V: Value> LoTree<K, V> {
         let mut chain_set: HashSet<usize> = HashSet::new();
         let mut spliced: Vec<usize> = Vec::new();
         let mut marks_completed = 0usize;
-        let mut parity_repairs = 0usize;
 
         // --- chain walk: the durable truth, lightly repaired ---
         let mut prev = head;
@@ -291,21 +288,13 @@ impl<K: Key, V: Value> LoTree<K, V> {
             if n.pred.load(Ordering::Acquire, &g).as_raw() as usize != prev {
                 n.pred.store(shp(prev), Ordering::Release);
             }
-            if n.repair_version_parity() {
-                parity_repairs += 1;
-            }
             chain.push(cur);
             prev = cur;
             cur = n.succ.load(Ordering::Acquire, &g).as_raw() as usize;
         }
-        // Tail mirror + sentinel parity.
+        // Tail mirror.
         if at::<K, V>(root).pred.load(Ordering::Acquire, &g).as_raw() as usize != prev {
             at::<K, V>(root).pred.store(shp(prev), Ordering::Release);
-        }
-        for s in [head, root] {
-            if at::<K, V>(s).repair_version_parity() {
-                parity_repairs += 1;
-            }
         }
 
         // --- layout walk: in-order collection, cycle-guarded ---
@@ -362,7 +351,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
                 orphans.push(p);
             }
         }
-        Ok(Audit { chain, orphans, layout_ok, marks_completed, parity_repairs })
+        Ok(Audit { chain, orphans, layout_ok, marks_completed })
     }
 
     /// Non-panicking twin of the invariant checker's height pass: `true`
@@ -617,25 +606,6 @@ mod tests {
         let report = t.try_recover().expect("stale heights must repair");
         assert_eq!(report.strategy, RepairStrategy::InPlace);
         assert!(!t.check_invariants_quiescent().degraded);
-    }
-
-    #[test]
-    fn parity_repair_is_counted() {
-        let t: LoTree<i64, u64> = LoTree::new(false, false);
-        for k in 1..=4 {
-            assert!(t.insert(k, 0));
-        }
-        {
-            let g = epoch::pin();
-            let n = t.lookup(&2, &g).expect("key 2 present");
-            // A writer died inside its lock window: odd version word.
-            n.version.fetch_add(1, Ordering::Release);
-        }
-        t.gate.poison(CODE_RESTART_STORM);
-        let report = t.try_recover().expect("parity damage must repair");
-        assert!(report.parity_repairs >= 1, "odd version word must be re-evened");
-        assert!(!t.check_invariants_quiescent().degraded);
-        assert!(t.insert(9, 9));
     }
 
     /// Value type that counts its drops, for leak/double-free accounting

@@ -10,7 +10,7 @@
 //! * [`RawLock`] — the one lock: a one-byte test-and-test-and-set lock.
 //!   The lock-based baselines use it bare.
 //! * [`NodeLock`] — the trees' per-node lock: a [`RawLock`] plus the
-//!   traced, versioned and lockdep surface described below.
+//!   traced and lockdep surface described below.
 //! * [`Mutex`] — a [`RawLock`] with a guard, for state outside the paper's
 //!   protocol (the arena's free lists, the store's flat-combining queues,
 //!   the CF baseline's maintenance gate).
@@ -208,8 +208,8 @@ pub(crate) fn wait_phase(class: LockClass) -> Option<lo_metrics::Phase> {
     }
 }
 
-/// The trees' per-node lock: a [`RawLock`] plus the traced, versioned and
-/// lockdep surface.
+/// The trees' per-node lock: a [`RawLock`] plus the traced and lockdep
+/// surface.
 pub struct NodeLock {
     raw: RawLock,
     /// Ledger identity, assigned lazily on first traced use (0 = unassigned).
@@ -300,77 +300,6 @@ impl NodeLock {
         lo_check::lockdep::on_release(self.ldep_id());
     }
 
-    // ------------------------------------------------------------------
-    // Versioned wrappers (ISSUE 8): the succ-lock entry points that couple
-    // the lock to the owning node's seqlock word. Acquire bumps the version
-    // to odd *after* the lock is won (mutual exclusion makes the two bumps
-    // of one lock cycle non-racing with each other; concurrent +2 relink
-    // bumps compose because every bump is an atomic RMW); release bumps
-    // back to even *before* the lock is dropped, with `Release` ordering so
-    // a validating reader that accepts the even value also sees every
-    // window store. lo-lint's version-bump rule pins these three functions
-    // as the only lock-coupled bump sites.
-    // ------------------------------------------------------------------
-
-    /// [`Self::lock_traced`] plus the odd (writer-entry) version bump.
-    #[inline]
-    pub fn lock_traced_versioned(
-        &self,
-        version: &std::sync::atomic::AtomicU32,
-        class: LockClass,
-        rank: Rank,
-        how: AcquireHow,
-    ) {
-        self.lock_traced(class, rank, how);
-        // No parity assert: a poisoned-tree unwind releases locks without
-        // the even bump, so post-poison parity is legitimately odd until a
-        // recovery audit re-evens it with `repair_version_parity` (writes
-        // are rejected in between, so no optimistic reader can validate
-        // against the stale phase).
-        version.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// [`Self::try_lock_traced`] plus the odd version bump on success.
-    #[inline]
-    pub fn try_lock_traced_versioned(
-        &self,
-        version: &std::sync::atomic::AtomicU32,
-        class: LockClass,
-        rank: Rank,
-    ) -> bool {
-        if !self.try_lock_traced(class, rank) {
-            return false;
-        }
-        version.fetch_add(1, Ordering::AcqRel);
-        true
-    }
-
-    /// [`Self::unlock_traced`] preceded by the even (writer-exit) bump.
-    #[inline]
-    pub fn unlock_traced_versioned(&self, version: &std::sync::atomic::AtomicU32) {
-        version.fetch_add(1, Ordering::Release);
-        self.unlock_traced();
-    }
-}
-
-/// Re-evens a version word left odd by a dead writer's unwind (the unwind
-/// releases locks without the writer-exit bump). Recovery-audit use only,
-/// with the tree quarantined: the writer gate is drained, so no lock cycle
-/// is in flight and the odd phase can only be the stale one. Returns
-/// whether a repair was needed. Release pairs with validating readers'
-/// Acquire re-reads, like the writer-exit bump it stands in for.
-#[inline]
-pub(crate) fn repair_version_parity(version: &std::sync::atomic::AtomicU32) -> bool {
-    if version.load(Ordering::Acquire) & 1 == 1 {
-        version.fetch_add(1, Ordering::Release);
-        true
-    } else {
-        false
-    }
-}
-
-impl NodeLock {
-
     /// Blocking acquire.
     ///
     /// With the `metrics` feature, a `try_lock` probe classifies the
@@ -391,9 +320,16 @@ impl NodeLock {
     }
 
     /// Non-blocking acquire; `true` on success.
+    ///
+    /// With the `metrics` feature, a success counts as an uncontended
+    /// acquisition and a failure as a contended one, as in [`Self::lock`].
     #[inline]
     pub fn try_lock(&self) -> bool {
-        self.raw.try_lock()
+        let acquired = self.raw.try_lock();
+        if lo_metrics::ENABLED {
+            record(if acquired { Event::NodeLockUncontended } else { Event::NodeLockContended });
+        }
+        acquired
     }
 
     /// Release.
@@ -609,17 +545,5 @@ mod tests {
             .join()
             .unwrap();
         assert_ne!(a, b, "per-thread jitter streams must differ");
-    }
-
-    #[test]
-    fn version_parity_repair() {
-        use std::sync::atomic::AtomicU32;
-        let even = AtomicU32::new(4);
-        assert!(!repair_version_parity(&even), "even words are left alone");
-        assert_eq!(even.load(Ordering::Relaxed), 4);
-        let odd = AtomicU32::new(5);
-        assert!(repair_version_parity(&odd), "odd words are re-evened");
-        assert_eq!(odd.load(Ordering::Relaxed), 6);
-        assert!(!repair_version_parity(&odd), "repair is idempotent");
     }
 }

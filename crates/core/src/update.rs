@@ -8,35 +8,11 @@
 //! 3. update the ordering layout and release the ordering locks,
 //! 4. update the physical layout and release the tree locks.
 //!
-//! # Optimistic write path
-//!
-//! Step 1 is where writers serialize: the paper's blocking `succLock`
-//! acquisition pessimistically covers the whole validate-decide-mutate
-//! sequence. This module instead runs the write path optimistically
-//! against the per-node succ-window seqlock (`Node::version`, see the
-//! node.rs module docs for the memory-model argument):
-//!
-//! 1. traverse lock-free and snapshot the succ window `(p, s)` under
-//!    even-version validation ([`LoTree::read_succ_window`]);
-//! 2. decide the operation's outcome from the snapshot. Outcomes that
-//!    mutate nothing — duplicate insert, absent remove, remove of an
-//!    already-zombie key — return **without ever locking**: the validated
-//!    window proves the outcome held at the snapshot instant, which is the
-//!    linearization point;
-//! 3. otherwise enter the short lock window: `try_lock` the predecessor's
-//!    `succLock` and confirm `version == v1 + 1` ([`LoTree::lock_window`]).
-//!    On confirmation the snapshot is still current and is reused without
-//!    re-reading; on any mismatch the writer restarts instead of waiting;
-//! 4. perform exactly the link flips (plus, for a removal, the tree-lock
-//!    phase) under the lock, as in the blocking path.
-//!
-//! The ordering lock is thereby held only for the flips themselves, not
-//! for the search or the decision, shrinking the lock-hold window toward
-//! the concurrency-optimal minimum. After [`OPTIMISTIC_ATTEMPTS`]
-//! consecutive failed rounds an operation falls back to the paper's
-//! blocking Algorithms 3 and 7 for guaranteed progress. Tests force that
-//! fallback by arming a `Fail` rule at the `optimistic-window-locked`
-//! failpoint, which fails every round's lock window.
+//! Step 1 begins the same way for `insert`, `put` and `remove`:
+//! [`LoTree::lock_interval`] searches for the key, steps back to the
+//! presumed predecessor `p`, locks `p.succLock` and validates the interval
+//! `(p, succ(p)]` under the lock, restarting on a failed validation. Each
+//! operation then runs straight-line code with the validated interval.
 
 use lo_reclaim::{self as epoch, Guard, Shared};
 use std::cmp::Ordering as Cmp;
@@ -49,11 +25,6 @@ use crate::sync::ContentionBackoff;
 use crate::tree::LoTree;
 use lo_api::{Key, TreeError, Value};
 use lo_metrics::{record, Event};
-
-/// Consecutive failed optimistic rounds before an operation falls back to
-/// the blocking path — a liveness guard: optimistic restarts must not
-/// starve a writer under sustained contention on one window.
-const OPTIMISTIC_ATTEMPTS: u32 = 8;
 
 /// The set of tree locks held for a physical removal, produced by
 /// [`LoTree::acquire_tree_locks`] (paper Algorithm 8). All listed nodes'
@@ -75,110 +46,74 @@ pub(crate) struct RemovalLocks<'g, K: Key, V: Value> {
     pub(crate) succ_child: Shared<'g, Node<K, V>>,
 }
 
-/// Why a writer is restarting — the two halves of the formerly conflated
-/// restart accounting: stale optimistic snapshots vs lost non-blocking
-/// lock races. Recorded centrally by [`LoTree::writer_restart`] as
-/// distinct lo-metrics events so the A/B bench rows can tell protocol
-/// friction from plain contention apart.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum RestartKind {
-    /// A snapshot or under-lock validation observed a concurrent writer.
-    Validation,
-    /// A non-blocking (`try_lock`) acquisition lost its race.
-    LockContention,
-}
-
-/// A validated optimistic snapshot of the succ window around a key (see
-/// the module docs): `p.version` was even (`v1`) before the field reads
-/// and unchanged after, so every field below was simultaneously true at
-/// the second version read.
-struct SuccWindow<'g, K: Key, V: Value> {
-    /// Predecessor; owner of the window (its `succ_lock` / `version` word
-    /// guard every other field here).
+/// The interval around a key, validated under its lock by
+/// [`LoTree::lock_interval`]: `p.key < key ≤ s.key`, `s == p.succ`, `p`
+/// unmarked, and `p.succ_lock` held.
+struct Interval<'g, K: Key, V: Value> {
+    /// The predecessor, whose `succ_lock` guards the interval.
     p: Shared<'g, Node<K, V>>,
-    /// `p.succ` at snapshot time.
+    /// `p.succ`; it holds the key iff the key is in the ordering layout.
     s: Shared<'g, Node<K, V>>,
-    /// Raw search landing node (parent candidate for `choose_parent`).
-    node: Shared<'g, Node<K, V>>,
-    /// `s.zombie` at snapshot time (`false` outside partially-external
-    /// mode and whenever the window failed validation).
-    s_zombie: bool,
-    /// The even pre-read of `p.version`.
-    v1: u32,
+    /// Where the search landed: the first parent candidate for
+    /// `choose_parent`.
+    landing: Shared<'g, Node<K, V>>,
 }
 
 impl<K: Key, V: Value> LoTree<K, V> {
-    /// Restart edge shared by every update loop: record which half of the
-    /// restart accounting this retry belongs to, then abort (through the
-    /// poisoning path) if a dead thread already poisoned the tree —
-    /// retrying against stranded structure can livelock — and tick the
-    /// `LO_MAX_RESTARTS` storm budget.
+    /// Restart edge shared by every writer loop: record the paper-named
+    /// restart `event` (`SuccLockRestart` or `TreeLockRestart`), then abort
+    /// (through the poisoning path) if a dead thread already poisoned the
+    /// tree — retrying against stranded structure can livelock — and tick
+    /// the `LO_MAX_RESTARTS` storm budget.
     #[inline]
-    pub(crate) fn writer_restart(&self, budget: &mut RestartBudget, kind: RestartKind) {
-        record(match kind {
-            RestartKind::Validation => Event::ValidationRestart,
-            RestartKind::LockContention => Event::LockContentionRestart,
-        });
+    pub(crate) fn writer_restart(&self, budget: &mut RestartBudget, event: Event) {
+        record(event);
         poison::abort_if_poisoned(&self.gate);
         budget.tick();
     }
 
-    /// Optimistically read the succ window around `key`: traverse
-    /// lock-free, step back to the presumed predecessor `p`, and snapshot
-    /// `(p, s)` plus the decision flags under `p`'s seqlock word — even
-    /// `v1` before the field reads, unchanged `v2` after (the node.rs
-    /// module docs give the memory-model argument). Returns `None` when a
-    /// writer is mid-window or the window moved; the caller restarts.
-    fn read_succ_window<'g>(&self, key: &K, g: &'g Guard) -> Option<SuccWindow<'g, K, V>> {
-        let node = self.search(key, g);
-        // Step back when the search landed on a node with key ≥ k (the
-        // validation below requires p.key < k strictly).
-        let p = if nref(node).key.cmp_key(key) != Cmp::Less {
-            nref(node).pred.load(Ordering::Acquire, g)
-        } else {
-            node
-        };
-        let span = lo_metrics::stamp();
-        let v1 = nref(p).read_version();
-        let win = (v1 % 2 == 0)
-            .then(|| {
-                let s = nref(p).succ.load(Ordering::Acquire, g);
-                // Window fields are Acquire loads so the v2 re-read below is
-                // ordered after all of them: a torn window implies v2 ≠ v1.
-                let valid = nref(p).key.cmp_key(key) == Cmp::Less
-                    && nref(s).key.cmp_key(key) != Cmp::Less
-                    && !nref(p).mark.load(Ordering::Acquire);
-                let s_zombie = valid
-                    && self.partially_external
-                    && nref(s).zombie.load(Ordering::Acquire);
-                (valid && nref(p).read_version() == v1)
-                    .then_some(SuccWindow { p, s, node, s_zombie, v1 })
-            })
-            .flatten();
-        lo_metrics::span(lo_metrics::Phase::Validate, span);
-        win
+    /// Paper Algorithms 3 and 7 up to the interval validation: search for
+    /// `key`, step back to the presumed predecessor `p`, lock `p.succLock`
+    /// and validate `key ∈ (p.key, succ(p).key]` with `p` unmarked. A
+    /// failed validation unlocks and searches again. Returns with
+    /// `p.succ_lock` held, unless the tree was poisoned since the writer
+    /// entered its scope: then the writer aborts.
+    fn lock_interval<'g>(&self, key: &K, g: &'g Guard) -> Interval<'g, K, V> {
+        let mut budget = RestartBudget::new();
+        loop {
+            let landing = self.search(key, g);
+            // Step back when the search landed on a node with key ≥ k (the
+            // validation below requires p.key < k strictly).
+            let p = if nref(landing).key.cmp_key(key) != Cmp::Less {
+                nref(landing).pred.load(Ordering::Acquire, g)
+            } else {
+                landing
+            };
+            nref(p).lock_succ();
+            let s = nref(p).succ.load(Ordering::Acquire, g);
+            // Relaxed mark load: `mark` is only ever set while holding the
+            // marked node's own succ lock, which we hold for `p` — the lock
+            // edge orders any mark store before this load.
+            if nref(p).key.cmp_key(key) == Cmp::Less
+                && nref(s).key.cmp_key(key) != Cmp::Less
+                && !nref(p).mark.load(Ordering::Relaxed)
+            {
+                // A writer that entered the gate before another one died
+                // must not go on to change the layout that death left.
+                poison::abort_if_poisoned(&self.gate);
+                return Interval { p, s, landing };
+            }
+            nref(p).unlock_succ();
+            self.writer_restart(&mut budget, Event::SuccLockRestart);
+        }
     }
 
-    /// Convert a validated snapshot into a held `p.succ_lock` whose window
-    /// provably equals the snapshot. The `try_lock` bumps `p.version` to
-    /// odd; observing exactly `v1 + 1` under the lock proves no other
-    /// writer cycle and no relink bump intervened since the snapshot, so
-    /// every snapshot field is still current and is reused without
-    /// re-reading. On `Err` nothing is held and the caller restarts with
-    /// the returned kind instead of waiting.
-    fn lock_window(&self, w: &SuccWindow<'_, K, V>) -> Result<(), RestartKind> {
-        if !nref(w.p).try_lock_succ() {
-            return Err(RestartKind::LockContention);
-        }
-        // Window: inside the confirmed short lock window, before any link
-        // flip. A planned failure leaves it like a version mismatch.
-        if nref(w.p).read_version() != w.v1.wrapping_add(1)
-            || fp::should_fail(FailPoint::OptimisticWindowLocked)
-        {
-            nref(w.p).unlock_succ();
-            return Err(RestartKind::Validation);
-        }
-        Ok(())
+    /// Whether `s` is a zombie, read under its predecessor's `succ_lock`.
+    /// Relaxed: `s.zombie` is only written under that lock, which the
+    /// caller holds. Always `false` outside partially-external mode.
+    #[inline]
+    fn zombie_under_lock(&self, s: Shared<'_, Node<K, V>>) -> bool {
+        self.partially_external && nref(s).zombie.load(Ordering::Relaxed)
     }
 
     /// Paper Algorithm 3. Returns `true` on a successful (key-was-absent)
@@ -210,128 +145,63 @@ impl<K: Key, V: Value> LoTree<K, V> {
         let g = &self.domain.pin();
         let _scope = WriteScope::enter(&self.gate)?;
         let value = slot.take().expect("insert attempt retried after its value was committed");
-        let mut budget = RestartBudget::new();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            let Some(w) = self.read_succ_window(&key, g) else {
-                self.writer_restart(&mut budget, RestartKind::Validation);
-                continue;
-            };
-            if nref(w.s).key.is_key(&key) {
-                if !(self.partially_external && w.s_zombie) {
-                    // Lock-free unsuccessful insert: the validated window
-                    // proves the key was present (and live) at the snapshot
-                    // instant — that instant is the linearization point.
-                    return Ok(false);
-                }
-                // A revival mutates the window, so the short lock window is
-                // required. The version confirm proves `s` is still
-                // `p.succ` and still a zombie (both change only under
-                // `p.succ_lock`).
-                if let Err(kind) = self.lock_window(&w) {
-                    self.writer_restart(&mut budget, kind);
-                    continue;
-                }
-                budget.note_progress();
-                self.revive_zombie(w.p, w.s, value, g);
-                return Ok(true);
-            }
-            if let Err(kind) = self.lock_window(&w) {
-                self.writer_restart(&mut budget, kind);
-                continue;
-            }
-            budget.note_progress();
-            self.insert_into_window(w.p, w.s, w.node, key, value, g)?;
-            return Ok(true);
-        }
-        // Bounded optimistic rounds exhausted (sustained contention on this
-        // window): fall back to blocking acquisition for guaranteed
-        // progress.
-        self.insert_blocking(key, value, g, &mut budget)
-    }
-
-    /// The paper's Algorithm 3 as written: blocking succ-lock acquisition
-    /// with key-range validation under the lock. The liveness fallback once
-    /// the optimistic rounds are exhausted.
-    fn insert_blocking(
-        &self,
-        key: K,
-        value: V,
-        g: &Guard,
-        budget: &mut RestartBudget,
-    ) -> Result<bool, TreeError> {
-        loop {
-            let node = self.search(&key, g);
-            // `p` is believed to be the key's predecessor: step back when the
-            // search landed on a node with key ≥ k (the validation below
-            // requires p.key < k strictly).
-            let p = if nref(node).key.cmp_key(&key) != Cmp::Less {
-                nref(node).pred.load(Ordering::Acquire, g)
-            } else {
-                node
-            };
-            nref(p).lock_succ();
-            let s = nref(p).succ.load(Ordering::Acquire, g);
-            // Validate k ∈ (p.key, s.key] and that the interval is live.
-            // Relaxed mark load: `mark` is only ever set while holding the
-            // marked node's own succ lock, which we hold for `p` — the lock
-            // edge orders any mark store before this load.
-            let valid = nref(p).key.cmp_key(&key) == Cmp::Less
-                && nref(s).key.cmp_key(&key) != Cmp::Less
-                && !nref(p).mark.load(Ordering::Relaxed);
-            if !valid {
-                record(Event::SuccLockRestart);
-                nref(p).unlock_succ();
-                self.writer_restart(budget, RestartKind::Validation);
-                continue; // validation failed; restart
-            }
-            if nref(s).key.is_key(&key) {
-                // Key already present.
-                // Relaxed: `s.zombie` is only written under `p.succ_lock`
-                // (`p` is `s`'s predecessor), which we hold.
-                if self.partially_external && nref(s).zombie.load(Ordering::Relaxed) {
-                    self.revive_zombie(p, s, value, g);
-                    return Ok(true);
-                }
-                nref(p).unlock_succ();
-                return Ok(false); // unsuccessful insert
-            }
+        let Interval { p, s, landing } = self.lock_interval(&key, g);
+        if !nref(s).key.is_key(&key) {
             // Successful insert: split interval (p, s) into (p, k), (k, s).
-            self.insert_into_window(p, s, node, key, value, g)?;
-            return Ok(true);
+            self.insert_into_interval(p, s, landing, key, value, g)?;
+            Ok(true)
+        } else if self.zombie_under_lock(s) {
+            // The key is logically absent: revive its node.
+            self.swap_value(p, s, value, g);
+            Ok(true)
+        } else {
+            nref(p).unlock_succ();
+            Ok(false) // unsuccessful insert
         }
     }
 
-    /// Zombie revival (shared by the insert flavors): with `p.succ_lock`
-    /// held and `s` validated as a zombie holding the key, install the new
-    /// value and clear the flag. Consumes `p.succ_lock`.
-    fn revive_zombie<'g>(
+    /// Value swap (shared by `put` and the zombie revival of `insert`):
+    /// with `p.succ_lock` held and `s` validated as the key's holder,
+    /// install `value`, revive `s` if it is a zombie, and release
+    /// `p.succ_lock`. Returns the displaced value unless `s` was a zombie
+    /// (its key was logically absent). The displaced value is retired, so
+    /// the returned reference lives only as long as `g`.
+    fn swap_value<'g>(
         &self,
         p: Shared<'g, Node<K, V>>,
         s: Shared<'g, Node<K, V>>,
         value: V,
         g: &'g Guard,
-    ) {
+    ) -> Option<&'g V> {
+        let was_zombie = self.zombie_under_lock(s);
         let old = nref(s).value.swap(epoch::Owned::new(value), Ordering::AcqRel, g);
-        // Release: a lock-free reader that Acquire-loads zombie == false
-        // must also see the value swap above.
-        nref(s).zombie.store(false, Ordering::Release);
         poison::note_linearized();
-        record(Event::ZombieRevived);
-        if !old.is_null() {
-            record(Event::ReclaimRetire);
-            // SAFETY: [inv:lock-exclusion] `old` was swapped out under the succ
-            // lock; readers hold epoch guards.
-            unsafe { g.defer_destroy(old) };
+        if was_zombie {
+            // Release: a lock-free reader that Acquire-loads zombie == false
+            // must also see the value swap above.
+            nref(s).zombie.store(false, Ordering::Release);
+            record(Event::ZombieRevived);
         }
         nref(p).unlock_succ();
+        if old.is_null() {
+            return None; // defensive: key nodes always hold a value
+        }
+        // SAFETY: [inv:epoch-liveness] `old` is retired through the epoch
+        // below, so it stays valid for this guard's lifetime.
+        let displaced = (!was_zombie).then(|| unsafe { old.deref() });
+        record(Event::ReclaimRetire);
+        // SAFETY: [inv:lock-exclusion] `old` was swapped out under the succ lock
+        // by this thread; readers hold epoch guards.
+        unsafe { g.defer_destroy(old) };
+        displaced
     }
 
-    /// Interval split (shared by the insert and put flavors): with
-    /// `p.succ_lock` held and the window `(p, s)` validated with `key`
-    /// absent, allocate the node, link it into the ordering layout (the
-    /// linearization point) and then into the tree layout. Consumes
-    /// `p.succ_lock`. On allocation failure the map is untouched.
-    fn insert_into_window<'g>(
+    /// Interval split (shared by insert and put): with `p.succ_lock` held
+    /// and the interval `(p, s)` validated with `key` absent, allocate the
+    /// node, link it into the ordering layout (the linearization point) and
+    /// then into the tree layout. Consumes `p.succ_lock`. On allocation
+    /// failure the map is untouched.
+    fn insert_into_interval<'g>(
         &self,
         p: Shared<'g, Node<K, V>>,
         s: Shared<'g, Node<K, V>>,
@@ -397,106 +267,13 @@ impl<K: Key, V: Value> LoTree<K, V> {
         let g = &self.domain.pin();
         let _scope = WriteScope::enter(&self.gate)?;
         let value = slot.take().expect("put attempt retried after its value was committed");
-        let mut budget = RestartBudget::new();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            let Some(w) = self.read_succ_window(&key, g) else {
-                self.writer_restart(&mut budget, RestartKind::Validation);
-                continue;
-            };
-            // Every put outcome mutates the window, so the short lock
-            // window is always taken; the snapshot still replaces both the
-            // blocking wait and the under-lock re-validation.
-            if let Err(kind) = self.lock_window(&w) {
-                self.writer_restart(&mut budget, kind);
-                continue;
-            }
-            budget.note_progress();
-            if nref(w.s).key.is_key(&key) {
-                return Ok(self.put_present(w.p, w.s, w.s_zombie, value, g));
-            }
-            self.insert_into_window(w.p, w.s, w.node, key, value, g)?;
-            return Ok(None);
-        }
-        self.put_blocking(key, value, g, &mut budget)
-    }
-
-    /// The blocking put loop: the liveness fallback of [`Self::try_put`]
-    /// (see [`Self::insert_blocking`]).
-    fn put_blocking(
-        &self,
-        key: K,
-        value: V,
-        g: &Guard,
-        budget: &mut RestartBudget,
-    ) -> Result<Option<V>, TreeError>
-    where
-        V: Clone,
-    {
-        loop {
-            let node = self.search(&key, g);
-            let p = if nref(node).key.cmp_key(&key) != Cmp::Less {
-                nref(node).pred.load(Ordering::Acquire, g)
-            } else {
-                node
-            };
-            nref(p).lock_succ();
-            let s = nref(p).succ.load(Ordering::Acquire, g);
-            // Relaxed mark load: see the justification in `insert_blocking`.
-            let valid = nref(p).key.cmp_key(&key) == Cmp::Less
-                && nref(s).key.cmp_key(&key) != Cmp::Less
-                && !nref(p).mark.load(Ordering::Relaxed);
-            if !valid {
-                record(Event::SuccLockRestart);
-                nref(p).unlock_succ();
-                self.writer_restart(budget, RestartKind::Validation);
-                continue;
-            }
-            if nref(s).key.is_key(&key) {
-                // Relaxed: `s.zombie` only changes under `p.succ_lock`, held.
-                let was_zombie =
-                    self.partially_external && nref(s).zombie.load(Ordering::Relaxed);
-                return Ok(self.put_present(p, s, was_zombie, value, g));
-            }
+        let Interval { p, s, landing } = self.lock_interval(&key, g);
+        if !nref(s).key.is_key(&key) {
             // Absent: plain insertion (same as Algorithm 3's success path).
-            self.insert_into_window(p, s, node, key, value, g)?;
+            self.insert_into_interval(p, s, landing, key, value, g)?;
             return Ok(None);
         }
-    }
-
-    /// Present-key path shared by the put flavors: with `p.succ_lock` held
-    /// and `s` validated as the key's holder, swap the value (reviving a
-    /// zombie if needed) and return the previous live value. Consumes
-    /// `p.succ_lock`.
-    fn put_present<'g>(
-        &self,
-        p: Shared<'g, Node<K, V>>,
-        s: Shared<'g, Node<K, V>>,
-        was_zombie: bool,
-        value: V,
-        g: &'g Guard,
-    ) -> Option<V>
-    where
-        V: Clone,
-    {
-        let old = nref(s).value.swap(epoch::Owned::new(value), Ordering::AcqRel, g);
-        poison::note_linearized();
-        if was_zombie {
-            // Release: readers observing zombie == false must see the
-            // value swap above (same as the revive in `insert`).
-            nref(s).zombie.store(false, Ordering::Release);
-            record(Event::ZombieRevived);
-        }
-        nref(p).unlock_succ();
-        if old.is_null() {
-            return None; // defensive: key nodes always hold a value
-        }
-        // SAFETY: [inv:epoch-liveness] `old` stays valid for this guard's lifetime.
-        let out = (!was_zombie).then(|| unsafe { old.deref() }.clone());
-        record(Event::ReclaimRetire);
-        // SAFETY: [inv:lock-exclusion] `old` was swapped out under the succ lock
-        // by this thread; readers hold epoch guards.
-        unsafe { g.defer_destroy(old) };
-        out
+        Ok(self.swap_value(p, s, value, g).cloned())
     }
 
     /// Paper Algorithm 4: pick the physical parent for a new node — its
@@ -592,111 +369,62 @@ impl<K: Key, V: Value> LoTree<K, V> {
     /// Infallible surface: panics if the tree is poisoned (see
     /// [`Self::try_remove`]); waits out an in-flight recovery.
     pub(crate) fn remove(&self, key: &K) -> bool {
-        poison::expect_writable(poison::block_during_recovery(|| self.try_remove(key)))
+        self.remove_with(key, |_| {})
+    }
+
+    /// [`Self::remove`] that hands the value it unlinks to `on_removed`,
+    /// called once and only on a successful removal, while both succ locks
+    /// are held — so no `put` or revival can change the value in between.
+    pub(crate) fn remove_with(&self, key: &K, mut on_removed: impl FnMut(&V)) -> bool {
+        poison::expect_writable(poison::block_during_recovery(|| {
+            self.try_remove_with(key, &mut on_removed)
+        }))
     }
 
     /// Fallible [`Self::remove`]: rejects writes on a poisoned tree. An
     /// `Err` means the map was not modified.
     pub(crate) fn try_remove(&self, key: &K) -> Result<bool, TreeError> {
-        let g = &self.domain.pin();
-        let _scope = WriteScope::enter(&self.gate)?;
-        let mut budget = RestartBudget::new();
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            let Some(w) = self.read_succ_window(key, g) else {
-                self.writer_restart(&mut budget, RestartKind::Validation);
-                continue;
-            };
-            if !nref(w.s).key.is_key(key) {
-                // Lock-free unsuccessful remove: the validated window proves
-                // the key was absent at the snapshot instant.
-                return Ok(false);
-            }
-            if self.partially_external && w.s_zombie {
-                // Lock-free unsuccessful remove: the key was already
-                // logically deleted at the snapshot instant.
-                return Ok(false);
-            }
-            if let Err(kind) = self.lock_window(&w) {
-                self.writer_restart(&mut budget, kind);
-                continue;
-            }
-            // A confirmed window is forward progress even if the second
-            // lock below bounces: the restart is contention, not livelock.
-            budget.note_progress();
-            // The version confirm proves `s` is still `p.succ`, unmarked
-            // and not a zombie. The second ordering lock is a `try`
-            // acquisition (ascending key order p → s, the same edge the
-            // blocking path takes, minus the wait): contention restarts
-            // instead of blocking.
-            if !nref(w.s).try_lock_succ() {
-                nref(w.p).unlock_succ();
-                self.writer_restart(&mut budget, RestartKind::LockContention);
-                continue;
-            }
-            // Window: both succ locks held, no tree lock yet (the §5.1
-            // ordering boundary).
-            fp::pause(FailPoint::RemoveSuccTreeWindow);
-            if self.partially_external {
-                // Consumes both succ locks; see pe.rs.
-                return Ok(self.remove_pe_locked(w.p, w.s, g));
-            }
-            self.remove_linked(w.p, w.s, g);
-            return Ok(true);
-        }
-        self.remove_blocking(key, g, &mut budget)
+        self.try_remove_with(key, &mut |_| {})
     }
 
-    /// The paper's Algorithm 7 as written: blocking succ-lock acquisitions
-    /// with key-range validation under the lock. The liveness fallback
-    /// once the optimistic rounds are exhausted.
-    fn remove_blocking(
+    /// The one remove body behind [`Self::try_remove`] and
+    /// [`Self::remove_with`].
+    fn try_remove_with(
         &self,
         key: &K,
-        g: &Guard,
-        budget: &mut RestartBudget,
+        on_removed: &mut impl FnMut(&V),
     ) -> Result<bool, TreeError> {
-        loop {
-            let node = self.search(key, g);
-            let p = if nref(node).key.cmp_key(key) != Cmp::Less {
-                nref(node).pred.load(Ordering::Acquire, g)
-            } else {
-                node
-            };
-            nref(p).lock_succ();
-            let s = nref(p).succ.load(Ordering::Acquire, g);
-            // Relaxed mark load: see the justification in `insert_blocking`.
-            let valid = nref(p).key.cmp_key(key) == Cmp::Less
-                && nref(s).key.cmp_key(key) != Cmp::Less
-                && !nref(p).mark.load(Ordering::Relaxed);
-            if !valid {
-                record(Event::SuccLockRestart);
-                nref(p).unlock_succ();
-                self.writer_restart(budget, RestartKind::Validation);
-                continue; // validation failed; restart
-            }
-            if !nref(s).key.is_key(key) {
-                nref(p).unlock_succ();
-                return Ok(false); // unsuccessful remove
-            }
-            if self.partially_external {
-                // Consumes p's succ lock; see pe.rs.
-                return Ok(self.remove_pe(p, s, g));
-            }
-            // Successful on-time removal of s.
-            nref(s).lock_succ();
-            // Window: both succ locks held, no tree lock yet (the §5.1
-            // ordering boundary).
-            fp::pause(FailPoint::RemoveSuccTreeWindow);
-            self.remove_linked(p, s, g);
-            return Ok(true);
+        let g = &self.domain.pin();
+        let _scope = WriteScope::enter(&self.gate)?;
+        let Interval { p, s, .. } = self.lock_interval(key, g);
+        if !nref(s).key.is_key(key) || self.zombie_under_lock(s) {
+            nref(p).unlock_succ();
+            return Ok(false); // unsuccessful remove
         }
+        // Successful removal of s. Its succ lock comes next: succ locks
+        // before tree locks, in ascending key order (p, then s).
+        nref(s).lock_succ();
+        let v = nref(s).value.load(Ordering::Acquire, g);
+        if !v.is_null() {
+            // SAFETY: [inv:epoch-liveness] value pointers are retired via the
+            // epoch, never freed in place, so `v` is valid for `g`'s lifetime.
+            on_removed(unsafe { v.deref() });
+        }
+        // Window: both succ locks held, no tree lock yet (the §5.1
+        // ordering boundary).
+        fp::pause(FailPoint::RemoveSuccTreeWindow);
+        if self.partially_external {
+            self.remove_pe(p, s, g); // see pe.rs
+        } else {
+            self.remove_linked(p, s, g);
+        }
+        Ok(true)
     }
 
-    /// On-time physical removal (shared by the remove flavors): with both
-    /// `p.succ_lock` and `s.succ_lock` held and `s` validated as the key's
-    /// live holder, run the tree-lock phase, mark + splice (the
-    /// linearization point), and physically unlink. Consumes both succ
-    /// locks.
+    /// On-time physical removal: with both `p.succ_lock` and `s.succ_lock`
+    /// held and `s` validated as the key's live holder, run the tree-lock
+    /// phase, mark + splice (the linearization point), and physically
+    /// unlink. Consumes both succ locks.
     fn remove_linked<'g>(
         &self,
         p: Shared<'g, Node<K, V>>,
@@ -747,10 +475,9 @@ impl<K: Key, V: Value> LoTree<K, V> {
                 // n is a leaf or has a single child.
                 let child = if r.is_null() { l } else { r };
                 if !child.is_null() && !nref(child).try_lock_tree() {
-                    record(Event::TreeLockRestart);
                     nref(parent).unlock_tree();
                     nref(n).unlock_tree();
-                    self.writer_restart(&mut budget, RestartKind::LockContention);
+                    self.writer_restart(&mut budget, Event::TreeLockRestart);
                     backoff.pause();
                     continue;
                 }
@@ -770,10 +497,9 @@ impl<K: Key, V: Value> LoTree<K, V> {
             let sp = nref(s).parent.load(Ordering::Acquire, g);
             let succ_parent = if sp != n {
                 if !nref(sp).try_lock_tree() {
-                    record(Event::TreeLockRestart);
                     nref(parent).unlock_tree();
                     nref(n).unlock_tree();
-                    self.writer_restart(&mut budget, RestartKind::LockContention);
+                    self.writer_restart(&mut budget, Event::TreeLockRestart);
                     backoff.pause();
                     continue;
                 }
@@ -782,11 +508,10 @@ impl<K: Key, V: Value> LoTree<K, V> {
                 if nref(s).parent.load(Ordering::Acquire, g) != sp
                     || nref(sp).mark.load(Ordering::Relaxed)
                 {
-                    record(Event::TreeLockRestart);
                     nref(sp).unlock_tree();
                     nref(parent).unlock_tree();
                     nref(n).unlock_tree();
-                    self.writer_restart(&mut budget, RestartKind::LockContention);
+                    self.writer_restart(&mut budget, Event::TreeLockRestart);
                     backoff.pause();
                     continue;
                 }
@@ -802,9 +527,8 @@ impl<K: Key, V: Value> LoTree<K, V> {
                 nref(n).unlock_tree();
             };
             if !nref(s).try_lock_tree() {
-                record(Event::TreeLockRestart);
                 release_partial(succ_parent);
-                self.writer_restart(&mut budget, RestartKind::LockContention);
+                self.writer_restart(&mut budget, Event::TreeLockRestart);
                 backoff.pause();
                 continue;
             }
@@ -814,10 +538,9 @@ impl<K: Key, V: Value> LoTree<K, V> {
                 "successor of a 2-children node must have no left child"
             );
             if !sr.is_null() && !nref(sr).try_lock_tree() {
-                record(Event::TreeLockRestart);
                 nref(s).unlock_tree();
                 release_partial(succ_parent);
-                self.writer_restart(&mut budget, RestartKind::LockContention);
+                self.writer_restart(&mut budget, Event::TreeLockRestart);
                 backoff.pause();
                 continue;
             }
@@ -886,11 +609,6 @@ impl<K: Key, V: Value> LoTree<K, V> {
             nref(nr).parent.store(s, Ordering::Release);
         }
         self.update_child(locks.parent, n, s, g);
-        // Conservative seqlock bump (registered in ordering_policy.toml
-        // [[version.bump_sites]]): s changed physical slot while its succ
-        // lock may be unheld; any in-flight optimistic snapshot that read
-        // through s re-validates rather than reasoning about relocation.
-        sn.bump_version();
 
         // (iii) Decide where rebalancing starts and release the rest.
         let reb_node = if s_parent_is_n {

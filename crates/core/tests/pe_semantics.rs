@@ -74,6 +74,25 @@ fn revive_then_remove_cycles() {
 }
 
 /// Zombies must be invisible to every read operation.
+/// `put` on an absent key inserts it, on a present key swaps its value,
+/// and on a zombie key revives the node without reporting a previous value.
+#[test]
+fn put_on_absent_present_and_zombie_keys() {
+    let m = LoPeBstMap::new();
+    for k in [50i64, 25, 75] {
+        assert_eq!(m.try_insert(k, 0u64), Ok(true));
+    }
+    assert_eq!(m.try_put(10, 1), Ok(None), "put of an absent key inserts");
+    assert_eq!(m.try_put(25, 2), Ok(Some(0)), "put of a present key swaps");
+    assert_eq!(m.try_remove(&50), Ok(true));
+    assert_eq!(m.zombie_count(), 1, "a two-children removal leaves a zombie");
+    assert_eq!(m.try_put(50, 3), Ok(None), "put of a zombie key revives it");
+    assert_eq!(m.zombie_count(), 0);
+    assert_eq!(m.get(&50), Some(3));
+    assert_eq!(m.keys_in_order(), vec![10, 25, 50, 75]);
+    m.check_invariants_pub();
+}
+
 #[test]
 fn zombies_invisible_to_reads() {
     let m = LoPeAvlMap::new();

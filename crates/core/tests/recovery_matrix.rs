@@ -227,16 +227,6 @@ fn window_arena_alloc() {
     kill_recover_resume(&LoBstMap::new(), FailPoint::ArenaAlloc, &[1], KillOp::Insert(2));
 }
 
-#[test]
-fn window_optimistic_window_locked() {
-    kill_recover_resume(
-        &LoAvlMap::new(),
-        FailPoint::OptimisticWindowLocked,
-        &[1, 3],
-        KillOp::Insert(2),
-    );
-}
-
 /// The streaming-rebuild strategy — normally reserved for untrusted-chain
 /// damage — must pass the same matrix contract when forced, on both the
 /// internal and partially-external flavors.

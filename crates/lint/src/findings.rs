@@ -21,10 +21,6 @@ pub enum Rule {
     UnsafeHygiene,
     /// Failpoint / span probe coverage of the write windows.
     Coverage,
-    /// Succ-window seqlock discipline (manifest `[version]`): the version
-    /// word is written only by the lock-coupled wrappers and the registered
-    /// relink-bump helper, and every pinned relink site still bumps.
-    VersionBump,
     /// Online-recovery gate discipline (manifest `[recovery]`): the
     /// active-writer gate's state-changing methods stay confined to the
     /// poison/recover modules, and the recovery entry points cite the
@@ -43,7 +39,6 @@ impl Rule {
             Rule::LockOrder => "lock-order",
             Rule::UnsafeHygiene => "unsafe-hygiene",
             Rule::Coverage => "coverage",
-            Rule::VersionBump => "version-bump",
             Rule::Recovery => "recovery",
             Rule::Manifest => "manifest",
         }

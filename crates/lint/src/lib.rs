@@ -97,7 +97,6 @@ pub fn run_lint(cfg: &Config) -> Result<Report, String> {
     rules::unsafety::check(&files, &policy, design_doc.as_deref(), &mut found);
     rules::coverage::check(&files, &policy, &mut found);
     rules::docsync::check(&files, &policy, &mut found);
-    rules::version::check(&files, &policy, &mut found);
     rules::recovery::check(&files, &policy, &mut found);
 
     let baseline_path = cfg
@@ -158,7 +157,6 @@ pub fn rule_by_name(name: &str) -> Option<Rule> {
         Rule::LockOrder,
         Rule::UnsafeHygiene,
         Rule::Coverage,
-        Rule::VersionBump,
         Rule::Recovery,
         Rule::Manifest,
     ]

@@ -68,32 +68,6 @@ pub struct NestedSuccPin {
     pub reason: String,
 }
 
-/// A `[[version.bump_sites]]` pin: one relink site that rewires node links
-/// without the node's succ lock and must therefore bump its seqlock word.
-#[derive(Debug, Clone)]
-pub struct VersionBumpSite {
-    pub file: String,
-    pub function: String,
-    pub reason: String,
-}
-
-/// The `[version]` table: the succ-window seqlock discipline (optimistic
-/// write path). Absent from manifests that predate the versioned protocol —
-/// the rule is inert then.
-#[derive(Debug, Clone)]
-pub struct VersionPolicy {
-    /// The per-node seqlock field name (`version`).
-    pub field: String,
-    /// The parity-preserving relink-bump helper (`bump_version`); the only
-    /// sanctioned version RMW outside the enforcement files.
-    pub helper: String,
-    /// The versioned lock wrappers that must exist in the enforcement files
-    /// and couple the lock to the field (the odd/even bumps).
-    pub wrappers: Vec<String>,
-    /// Reviewed relink sites that must call the helper.
-    pub bump_sites: Vec<VersionBumpSite>,
-}
-
 /// The `[recovery]` table: the online-recovery gate discipline. The
 /// active-writer gate is the single word recovery's quarantine correctness
 /// hangs on, so its state-changing methods must stay confined to the
@@ -173,9 +147,6 @@ pub struct Policy {
     pub windows: Vec<Window>,
     /// Registered invariant tags (`[unsafe] tags = […]`).
     pub unsafe_tags: Vec<String>,
-    /// Succ-window seqlock discipline (`[version]`), when the manifest
-    /// declares one.
-    pub version: Option<VersionPolicy>,
     /// Online-recovery gate discipline (`[recovery]`), when the manifest
     /// declares one.
     pub recovery: Option<RecoveryPolicy>,
@@ -295,37 +266,6 @@ impl Policy {
             return Err("[unsafe] tags must not be empty".into());
         }
 
-        // [[version.bump_sites]] alone creates a `version` child table, so
-        // the discipline is declared iff `field` is present.
-        let version = match t.table("version").filter(|vt| vt.get_str("field").is_some()) {
-            Some(vt) => {
-                let mut bump_sites = Vec::new();
-                for (i, a) in t.array("version.bump_sites").iter().enumerate() {
-                    let ctx = format!("[[version.bump_sites]] #{}", i + 1);
-                    bump_sites.push(VersionBumpSite {
-                        file: req_str(a, "file", &ctx)?,
-                        function: req_str(a, "function", &ctx)?,
-                        reason: req_str(a, "reason", &ctx)?,
-                    });
-                }
-                Some(VersionPolicy {
-                    field: req_str(vt, "field", "[version]")?,
-                    helper: req_str(vt, "helper", "[version]")?,
-                    wrappers: strs(vt, "wrappers"),
-                    bump_sites,
-                })
-            }
-            None => {
-                if !t.array("version.bump_sites").is_empty() {
-                    return Err(
-                        "[[version.bump_sites]] requires a [version] table with `field`/`helper`"
-                            .into(),
-                    );
-                }
-                None
-            }
-        };
-
         let recovery = match t.table("recovery") {
             Some(rt) => {
                 let rp = RecoveryPolicy {
@@ -352,7 +292,6 @@ impl Policy {
             nested_succ,
             windows,
             unsafe_tags,
-            version,
             recovery,
         })
     }
@@ -420,25 +359,6 @@ trace_phase = "Rotation"
     }
 
     #[test]
-    fn version_table_is_optional_and_parses() {
-        let t = minitoml::parse(MINIMAL).unwrap();
-        assert!(Policy::from_table(&t).unwrap().version.is_none());
-
-        let with = format!(
-            "{MINIMAL}\n[version]\nfield = \"version\"\nhelper = \"bump_version\"\n\
-             wrappers = [\"lock_traced_versioned\"]\n\n[[version.bump_sites]]\n\
-             file = \"crates/core/src/balance.rs\"\nfunction = \"rotate\"\nreason = \"r\"\n"
-        );
-        let p = Policy::from_table(&minitoml::parse(&with).unwrap()).unwrap();
-        let v = p.version.expect("declared [version] must parse");
-        assert_eq!(v.field, "version");
-        assert_eq!(v.helper, "bump_version");
-        assert_eq!(v.wrappers, ["lock_traced_versioned"]);
-        assert_eq!(v.bump_sites.len(), 1);
-        assert_eq!(v.bump_sites[0].function, "rotate");
-    }
-
-    #[test]
     fn recovery_table_is_optional_and_parses() {
         let t = minitoml::parse(MINIMAL).unwrap();
         assert!(Policy::from_table(&t).unwrap().recovery.is_none());
@@ -462,14 +382,6 @@ trace_phase = "Rotation"
     fn recovery_without_methods_is_an_error() {
         let bad = format!("{MINIMAL}\n[recovery]\ngate = \"gate\"\n");
         assert!(Policy::from_table(&minitoml::parse(&bad).unwrap()).is_err());
-    }
-
-    #[test]
-    fn bump_sites_without_version_table_is_an_error() {
-        let orphan = format!(
-            "{MINIMAL}\n[[version.bump_sites]]\nfile = \"f.rs\"\nfunction = \"g\"\nreason = \"r\"\n"
-        );
-        assert!(Policy::from_table(&minitoml::parse(&orphan).unwrap()).is_err());
     }
 
     #[test]

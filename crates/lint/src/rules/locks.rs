@@ -181,7 +181,7 @@ fn classify(name: &str) -> Option<Acq> {
 }
 
 /// `(name, body_start_token, body_end_token)` for every `fn` in the file.
-/// Shared with the version-bump rule, which pins bump sites by function.
+/// Shared with the recovery rule, which looks gate methods up by name.
 pub(crate) fn fn_spans(toks: &[Token]) -> Vec<(String, usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0usize;

@@ -7,4 +7,3 @@ pub mod docsync;
 pub mod locks;
 pub mod recovery;
 pub mod unsafety;
-pub mod version;

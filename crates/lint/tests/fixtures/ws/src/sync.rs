@@ -14,13 +14,6 @@ impl L {
         self.raw.unlock();
     }
 
-    // Versioned wrapper named by the fixture [version] table: couples the
-    // raw lock to the seqlock word (odd on acquire).
-    pub fn lock_versioned(&self, version: &AtomicU32) {
-        self.raw.lock();
-        version.fetch_add(1, Ordering::AcqRel);
-    }
-
     fn wait_phase(class: LockClass) -> Phase {
         match class {
             LockClass::Succ => Phase::SuccLockWait,

@@ -64,28 +64,6 @@ impl U {
         a.unlock_tree();
     }
 
-    // ok: pinned relink site that bumps the seqlock word
-    fn rotate_ok(&self, n: &N) {
-        n.relink();
-        n.bump_version();
-    }
-
-    // seed: version-bump (pinned relink site that no longer bumps)
-    fn rotate_bad(&self, n: &N) {
-        n.relink();
-    }
-
-    // seed: version-bump (helper call outside every pinned site)
-    fn sneaky_bump(&self, n: &N) {
-        n.bump_version();
-    }
-
-    // seed: version-bump (raw write to the seqlock word outside the
-    // enforcement point and the helper)
-    fn raw_version_write(&self, n: &N) {
-        n.version.store(0, Ordering::Relaxed);
-    }
-
     // ok: the restart idiom — the diverging block's unlock must not leak
     // into the fall-through held-set (divergence-aware simulation)
     fn restart_ok(&self, p: &N, c: &N) {

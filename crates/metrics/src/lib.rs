@@ -130,9 +130,11 @@ events! {
     /// An eligible zombie cleanup aborted on lock contention or failed
     /// validation (allowed: zombies are never required to leave).
     ZombieCleanupAbort => "zombie-cleanup-abort",
-    /// `NodeLock::lock` acquired on the fast path (no contention).
+    /// `NodeLock::lock` acquired on the fast path (no contention), or
+    /// `NodeLock::try_lock` succeeded.
     NodeLockUncontended => "node-lock-uncontended",
-    /// `NodeLock::lock` found the lock held and had to wait.
+    /// `NodeLock::lock` found the lock held and had to wait, or
+    /// `NodeLock::try_lock` failed.
     NodeLockContended => "node-lock-contended",
     /// A node or value was retired for deferred destruction (epoch-based
     /// reclamation; counted in `lo-core`).
@@ -158,15 +160,14 @@ events! {
     /// A long scan dropped its epoch guard at a chunk boundary and
     /// re-pinned + re-anchored (the cursor's chunked re-pinning rule).
     ScanRepin => "scan-repin",
-    /// A writer restarted because its optimistic succ-window snapshot
-    /// failed validation (odd version, key-range mismatch, marked
-    /// predecessor, or a version change between read and lock — ISSUE 8).
-    /// Split from [`Event::LockContentionRestart`] so the optimistic
-    /// path's two failure modes are separately attributable.
+    /// Never recorded: the restart of the retired optimistic write path's
+    /// snapshot validation. Kept only because storebench still names it;
+    /// writer restarts are [`Event::SuccLockRestart`] and
+    /// [`Event::TreeLockRestart`].
     ValidationRestart => "validation-restart",
-    /// A writer restarted because a non-blocking lock acquisition lost the
-    /// race (`try_lock` on a succ or tree lock returned false). The other
-    /// half of the former conflated `writer_restart` accounting.
+    /// Never recorded: the retired optimistic write path's lost `try_lock`
+    /// race. Kept only because storebench still names it (see
+    /// [`Event::ValidationRestart`]).
     LockContentionRestart => "lock-contention-restart",
     /// An online recovery claimed a poisoned tree's gate (quarantine
     /// began); one per `try_recover` call that won the claim.

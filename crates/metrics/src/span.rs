@@ -87,10 +87,6 @@ phases! {
     Rotation => "rotation",
     /// An ordered-scan epoch repin (guard refresh between chunks).
     ScanRepin => "scan-repin",
-    /// One optimistic succ-window validation: the even-version read, the
-    /// window-field reads, and the version re-check — the lock-free work
-    /// that replaced blocking succ-lock acquisition.
-    Validate => "validate",
     /// One whole online recovery: gate claim, writer drain, audit, repair,
     /// and verification — the quarantine window during which writers
     /// bounce with `Recovering`.
@@ -777,7 +773,7 @@ mod tests {
 
     #[test]
     fn phase_names_and_indices_are_stable() {
-        assert_eq!(Phase::COUNT, 10);
+        assert_eq!(Phase::COUNT, 9);
         for (i, &p) in Phase::ALL.iter().enumerate() {
             assert_eq!(p.index(), i);
             assert_eq!(Phase::from_index(i), Some(p));

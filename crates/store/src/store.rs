@@ -266,7 +266,6 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
                             acc.nodes_salvaged += report.nodes_salvaged;
                             acc.nodes_orphaned += report.nodes_orphaned;
                             acc.marks_completed += report.marks_completed;
-                            acc.parity_repairs += report.parity_repairs;
                             acc.elapsed += report.elapsed;
                             acc
                         }

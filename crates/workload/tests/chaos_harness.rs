@@ -5,7 +5,7 @@
 #![cfg(feature = "failpoints")]
 
 use lo_check::fail::{activate, FailPoint, FaultAction, FaultPlan, FaultRule};
-use lo_core::{LoAvlMap, LoPeAvlMap, LoPeBstMap, TreeError};
+use lo_core::{LoAvlMap, LoPeAvlMap, TreeError};
 use lo_workload::{run_chaos, ChaosSpec};
 
 /// `lo-core`'s failpoints feature is unified in from the workspace root;
@@ -122,61 +122,6 @@ fn interrupted_history_is_linearizable() {
     if report.injected_panics > 0 {
         assert!(report.poisoned.is_some());
     }
-}
-
-/// The blocking write path is the liveness fallback after a bounded number
-/// of failed optimistic rounds. Forcing every optimistic lock window to
-/// fail sends each committed mutation through it: storms and recorded
-/// rounds on the internal and the partially-external tree must complete
-/// every op unpoisoned (the recorded rounds WGL-checked inside
-/// `run_chaos`), and a `try_put` script must run the blocking put on an
-/// absent, a present and a zombie key.
-#[test]
-fn forced_blocking_fallback_completes_every_op() {
-    require_injection!();
-    let plan = || {
-        FaultPlan::new(11)
-            .with(FailPoint::OptimisticWindowLocked, FaultRule::always(FaultAction::Fail))
-    };
-    let window = FailPoint::OptimisticWindowLocked.index();
-    let storm = ChaosSpec { initial: 0x0F0F, ..ChaosSpec::new(11) };
-    let recorded = ChaosSpec {
-        keys: 8,
-        ops_per_thread: 7,
-        initial: 0b0110_1101,
-        check_linearizability: true,
-        ..ChaosSpec::new(12)
-    };
-    for spec in [&storm, &recorded] {
-        for report in
-            [run_chaos(&LoAvlMap::new(), spec, plan()), run_chaos(&LoPeBstMap::new(), spec, plan())]
-        {
-            assert_eq!(report.poisoned, None, "a forced fallback must not poison");
-            assert_eq!(
-                report.ops_completed,
-                (spec.threads * spec.ops_per_thread) as u64,
-                "every op must complete on the blocking path"
-            );
-            assert!(report.fired[window] >= 8, "fired {} times", report.fired[window]);
-        }
-    }
-
-    let map = LoPeBstMap::new();
-    for k in [50i64, 25, 75] {
-        assert_eq!(map.try_insert(k, 0), Ok(true));
-    }
-    let session = activate(plan());
-    assert_eq!(map.try_put(10, 1), Ok(None), "put of an absent key inserts");
-    assert_eq!(map.try_put(25, 2), Ok(Some(0)), "put of a present key swaps");
-    assert_eq!(map.try_remove(&50), Ok(true));
-    assert_eq!(map.check_invariants_report().zombies, 1, "a two-children removal leaves a zombie");
-    assert_eq!(map.try_put(50, 3), Ok(None), "put of a zombie key revives it");
-    let fired = session.fired_counts()[window];
-    drop(session);
-    assert!(fired >= 4 * 8, "every mutation exhausted its optimistic rounds ({fired})");
-    assert_eq!(map.check_invariants_report().zombies, 0);
-    assert_eq!(map.get(&50), Some(3));
-    assert_eq!(map.range_keys(0..=100), vec![10, 25, 50, 75]);
 }
 
 /// Simulated allocator exhaustion inside the storm: sampled `AllocFailed`

@@ -93,8 +93,8 @@ fn kill_recover_resume_across_all_windows() {
             assert_eq!(recovery.cause, PoisonCause::Failpoint(window.name()));
             assert!(recovery.generation >= 1, "recovery must bump the generation");
         } else {
-            // Shape-dependent windows (mid-relocation, rotation, the
-            // optimistic lock window) may not be crossed by 15 storm ops;
+            // Shape-dependent windows (mid-relocation, rotation, the PE
+            // splice) may not be crossed by 15 storm ops;
             // the harness then asserted that recovery declined cleanly.
             assert!(
                 !RELIABLE.contains(&window),

@@ -148,21 +148,6 @@ fn targeted_kills() {
     }
     assert!(kill_at(FailPoint::PeAfterMark, &m, || m.try_remove(&2)));
     assert!(!m.contains(&2) && m.contains(&1));
-
-    // Inside the optimistic short lock window (ISSUE 8): the writer holds
-    // the pred's succ lock with the version word odd, the snapshot just
-    // confirmed, the link flip not yet issued. A kill here is before the
-    // linearization point — the key must NOT appear — and the unwind
-    // releases the lock without the closing bump (benign: the poisoned
-    // tree rejects all writers, so no one validates against the word
-    // again).
-    let m = LoAvlMap::new();
-    for k in [1i64, 2, 3] {
-        m.try_insert(k, 0).unwrap();
-    }
-    assert!(!kill_at(FailPoint::OptimisticWindowLocked, &m, || m.try_insert(5, 50)));
-    assert!(!m.contains(&5), "unlinearized optimistic insert must leave no trace");
-    assert!(m.contains(&1) && m.contains(&2) && m.contains(&3), "neighbors unaffected");
 }
 
 fn restart_storm() {
@@ -242,13 +227,9 @@ fn chaos_rounds(injecting: bool) {
     // Round 2: delays and budgeted try-lock failures only — survivable
     // chaos; the tree must come out healthy. A fifth of the read share is
     // diverted to range scans so the streaming cursor rides the same storm.
-    // Delays inside the optimistic short lock window stretch exactly the
-    // interval the versioned protocol shrank, forcing concurrent writers
-    // onto the validation-restart path.
     let plan = FaultPlan::new(seed() ^ 1)
         .delay_at(FailPoint::RemoveAfterMark, 512, 4)
         .delay_at(FailPoint::PeAfterMark, 512, 4)
-        .delay_at(FailPoint::OptimisticWindowLocked, 512, 4)
         .fail_at(FailPoint::TreeTryLock, 64);
     let map = LoPeBstMap::new();
     let spec = ChaosSpec { initial: 0xF0F0, scan_pct: 20, ..ChaosSpec::new(seed() ^ 1) };

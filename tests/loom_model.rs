@@ -19,6 +19,7 @@
 use lo_check::lin::{is_linearizable, CompletedOp, LinOp, Recorder};
 use lo_check::sched::Scheduler;
 use lo_trees::{LoAvlMap, LoPeAvlMap};
+use std::sync::OnceLock;
 
 use lo_api::ConcurrentMap;
 #[allow(clippy::disallowed_types)] // history recorder, not tree-protocol state
@@ -177,5 +178,48 @@ fn pe_zombie_cleanup_interleavings() {
             seed,
         );
         assert!(!map.contains(&0) && !map.contains(&1) && !map.contains(&2));
+    }
+}
+
+/// A pop racing a `put` of the key it pops: prefill `{1: 1}`; one worker
+/// pops, the other runs `put(1, 2)`. The pop must return the value its
+/// removal unlinked, so only two outcomes linearize:
+/// - the pop first: it returns `(1, 1)`, the put inserts afresh (`None`),
+///   and the map ends as `{1: 2}`;
+/// - the put first: it returns `Some(1)`, the pop returns `(1, 2)`, and the
+///   map ends empty.
+#[test]
+fn pop_returns_the_value_it_removed() {
+    type Pop = fn(&LoAvlMap<i64, u64>) -> Option<(i64, u64)>;
+    let pops: [(&str, Pop); 2] = [("pop_min", LoAvlMap::pop_min), ("pop_max", LoAvlMap::pop_max)];
+    for (name, pop) in pops {
+        for seed in 0..SEEDS {
+            let map = Arc::new(LoAvlMap::new());
+            assert!(map.insert(1i64, 1u64));
+            let popped = Arc::new(OnceLock::new());
+            let put = Arc::new(OnceLock::new());
+            let workers: Vec<Box<dyn FnOnce() + Send>> = vec![
+                {
+                    let (map, popped) = (Arc::clone(&map), Arc::clone(&popped));
+                    Box::new(move || popped.set(pop(&map)).unwrap())
+                },
+                {
+                    let (map, put) = (Arc::clone(&map), Arc::clone(&put));
+                    Box::new(move || put.set(map.put(1, 2)).unwrap())
+                },
+            ];
+            Scheduler::new(2, seed, 3).run(workers);
+            let outcome = (popped.get().copied().flatten(), put.get().copied().flatten());
+            let rest: Vec<(i64, Option<u64>)> =
+                map.keys_in_order().into_iter().map(|k| (k, map.get(&k))).collect();
+            match outcome {
+                (Some((1, 1)), None) => assert_eq!(rest, [(1, Some(2))], "seed {seed}"),
+                (Some((1, 2)), Some(1)) => assert!(rest.is_empty(), "seed {seed}: {rest:?}"),
+                other => panic!(
+                    "non-linearizable {name}/put outcome under seed {seed}: \
+                     (pop, put) = {other:?}, final map {rest:?}"
+                ),
+            }
+        }
     }
 }

@@ -126,10 +126,8 @@ mod compiled_in {
     }
 
     /// A write-heavy mix with recording on must populate the descent
-    /// phase and the lock windows it can reach: both hold spans and the
-    /// tree-lock wait. The optimistic write path takes succ locks with
-    /// `try_lock`, which has no wait window, so the succ-lock wait is
-    /// asserted by `blocking_fallback_populates_succ_lock_wait` instead.
+    /// phase and every lock window: each write waits for its interval's
+    /// succ lock, and removals wait for tree locks.
     #[test]
     fn write_heavy_mix_populates_lock_windows() {
         let _gate = gate();
@@ -140,6 +138,7 @@ mod compiled_in {
         let snap = metrics::SpanSnapshot::take().since(&before);
         for phase in [
             metrics::Phase::Descent,
+            metrics::Phase::SuccLockWait,
             metrics::Phase::SuccLockHold,
             metrics::Phase::TreeLockWait,
             metrics::Phase::TreeLockHold,
@@ -160,34 +159,5 @@ mod compiled_in {
             !metrics::flight::merged_records().is_empty(),
             "the flight recorder must hold the trial's newest spans"
         );
-    }
-
-    /// The succ-lock wait window exists only on the blocking fallback. An
-    /// always-failing `optimistic-window-locked` rule sends every write
-    /// there, so a single-thread run must record `SuccLockWait` spans.
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn blocking_fallback_populates_succ_lock_wait() {
-        use lo_check::fail::{activate, FailPoint, FaultPlan};
-
-        let _gate = gate();
-        let map = LoAvlMap::new();
-        let session =
-            activate(FaultPlan::new(3).fail_at(FailPoint::OptimisticWindowLocked, u64::MAX));
-        let before = metrics::SpanSnapshot::take();
-        metrics::set_recording(true);
-        for k in 0..2_000u64 {
-            assert!(map.insert(k, k));
-        }
-        for k in 0..2_000u64 {
-            assert!(map.remove(&k));
-        }
-        metrics::set_recording(false);
-        let snap = metrics::SpanSnapshot::take().since(&before);
-        assert!(session.fired() >= 4_000, "every write met the forced failure");
-        drop(session);
-        let h = snap.phase(metrics::Phase::SuccLockWait);
-        assert!(h.count() > 0, "blocking writes must record succ-lock-wait spans");
-        assert!(h.quantile(0.999).is_some(), "succ-lock-wait histogram must yield percentiles");
     }
 }
