@@ -240,20 +240,18 @@ impl std::fmt::Display for Health {
     }
 }
 
-/// How [`FallibleMap::try_recover`] repaired the damaged layout.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How [`FallibleMap::try_recover`] repaired the damaged layout. Ordered
+/// from least to most invasive, so merged reports take the `max`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RepairStrategy {
     /// The audit found the physical layout consistent with the surviving
     /// succ chain after window-local fixes; no structural rebuild was
     /// needed.
     AuditOnly,
-    /// The layout was rebuilt in place over the surviving chain nodes (the
-    /// common case: the chain is the durable truth, the layout is derived).
+    /// The layout was rebuilt in place over the surviving chain nodes: the
+    /// chain is the durable truth, the layout is derived from it. Every
+    /// damaged layout is repaired this way, whatever the poison cause.
     InPlace,
-    /// The chain itself was not trusted (genuine panic, unknown damage):
-    /// every reachable key/value pair was streamed into fresh nodes and the
-    /// old structure was retired wholesale.
-    StreamingRebuild,
 }
 
 impl std::fmt::Display for RepairStrategy {
@@ -261,7 +259,6 @@ impl std::fmt::Display for RepairStrategy {
         let s = match self {
             RepairStrategy::AuditOnly => "audit-only",
             RepairStrategy::InPlace => "in-place",
-            RepairStrategy::StreamingRebuild => "streaming-rebuild",
         };
         write!(f, "{s}")
     }
@@ -317,8 +314,8 @@ pub struct RecoveryReport {
     pub writers_drained: u32,
     /// Live nodes carried over into the repaired structure.
     pub nodes_salvaged: usize,
-    /// Nodes found unreachable from the surviving chain (or replaced by the
-    /// streaming rebuild) and retired through epoch reclamation.
+    /// Nodes found unreachable from the surviving chain (layout orphans and
+    /// spliced-out marked nodes) and retired through epoch reclamation.
     pub nodes_orphaned: usize,
     /// Stranded removal marks force-completed during the audit (the marked
     /// node's half-done splice was finished and the node orphaned).
@@ -541,13 +538,14 @@ mod tests {
             "poisoned: writer panicked"
         );
         assert_eq!(RepairStrategy::InPlace.to_string(), "in-place");
+        assert!(RepairStrategy::AuditOnly < RepairStrategy::InPlace);
         assert_eq!(
             Health::Degraded { shards: 0b101 }.to_string(),
             "degraded: shards [0, 2] unwritable"
         );
         let report = RecoveryReport {
             cause: PoisonCause::Panic,
-            strategy: RepairStrategy::StreamingRebuild,
+            strategy: RepairStrategy::InPlace,
             writers_drained: 2,
             nodes_salvaged: 10,
             nodes_orphaned: 3,
@@ -556,7 +554,7 @@ mod tests {
             elapsed: std::time::Duration::from_micros(50),
         };
         let text = report.to_string();
-        assert!(text.contains("streaming-rebuild"));
+        assert!(text.contains("recovered (in-place)"));
         assert!(text.contains("salvaged 10"));
         assert!(text.contains("generation 1"));
     }

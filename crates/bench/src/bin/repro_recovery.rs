@@ -6,15 +6,13 @@
 //! remove inside its post-mark window with a one-shot failpoint panic
 //! (poisoning the tree exactly as a real mid-write death would), then
 //! times the full quarantine → audit → repair → verify → resume pipeline.
-//! Two rows per (algorithm, n): the natural strategy the damage selects
-//! (an in-place layout rebuild from the surviving ordering chain) and the
-//! forced streaming rebuild into fresh nodes — the conservative path a
-//! genuine panic takes.
+//! The stranded mark damages the layout, so every cell measures the
+//! in-place rebuild from the surviving ordering chain.
 //!
 //! With `--summary-json`, rows land in `BENCH_throughput.json` keyed
-//! `recovery/<algo>/<n>` (and `recovery/<algo>/<n>/streaming`). Like the
-//! `latency/` rows, the value in `ops_per_us_mean` is a **latency in
-//! nanoseconds**; the `recovery/` config prefix marks the unit switch.
+//! `recovery/<algo>/<n>`. Like the `latency/` rows, the value in
+//! `ops_per_us_mean` is a **latency in nanoseconds**; the `recovery/`
+//! config prefix marks the unit switch.
 //!
 //! Usage: `cargo run -p lo-bench --release --features failpoints --bin
 //! repro-recovery`. Without `lo-core/failpoints` the kill cannot fire;
@@ -25,21 +23,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use lo_bench::{emit_summary_rows, summary_json_flag, Scale, SummaryRow};
-use lo_check::fail::{activate, panic_message, take_injected_panic, FailPoint, FaultPlan};
+use lo_check::fail::{
+    activate, silence_injected_panics, take_injected_panic, FailPoint, FaultPlan,
+};
 use lo_check::rng::Rng;
 use lo_core::{FallibleMap, Health, LoAvlMap, LoBstMap, LoPeAvlMap, RecoveryReport};
-
-/// The injected kill fires once per cell; keep its panic report out of the
-/// table. Everything else still reaches the default hook.
-fn silence_injected_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if panic_message(info.payload()).is_some_and(|m| m.contains("[lo-fault:")) {
-            return;
-        }
-        prev(info);
-    }));
-}
 
 /// Poisons `map` (prefilled with `n` keys) via a one-shot panic in the
 /// post-mark remove window (`RemoveAfterMark`, or its partially-external
@@ -69,10 +57,10 @@ fn poison<M: FallibleMap<i64, u64>>(map: &M, n: u64, seed: u64) -> bool {
     died && matches!(map.health(), Health::Poisoned(_))
 }
 
-/// One (algorithm, n, strategy) cell: `reps` kill→recover cycles on fresh
+/// One (algorithm, n) cell: `reps` kill→recover cycles on fresh
 /// maps, each timing `try_recover` alone. Returns (mean_ns, stddev_ns) and
 /// the last report, or None when injection is compiled out.
-fn cell<M, F>(make: F, n: u64, reps: usize, streaming: bool) -> Option<(f64, f64, RecoveryReport)>
+fn cell<M, F>(make: F, n: u64, reps: usize) -> Option<(f64, f64, RecoveryReport)>
 where
     M: FallibleMap<i64, u64>,
     F: Fn() -> M,
@@ -94,11 +82,9 @@ where
         if !poison(&map, n, 0xBE9C + rep as u64) {
             return None;
         }
-        lo_core::force_streaming_rebuild(streaming);
         let t0 = Instant::now();
         let report = map.try_recover().expect("recovery of a freshly poisoned map");
         let dt = t0.elapsed();
-        lo_core::force_streaming_rebuild(false);
         assert_eq!(map.health(), Health::Writable, "recovered map must be writable");
         samples.push(dt.as_nanos() as f64);
         last = Some(report);
@@ -110,7 +96,10 @@ where
 }
 
 fn main() {
-    silence_injected_panics();
+    // The injected kill fires once per cell; keep its panic report out of
+    // the table for the whole run. Everything else still reaches the
+    // default hook.
+    let _ = silence_injected_panics();
     let scale = Scale::from_env();
     let want_summary = summary_json_flag();
     println!("### online recovery latency (try_recover to Health::Writable), reps {}", scale.reps);
@@ -122,7 +111,7 @@ fn main() {
     let mut rows: Vec<SummaryRow> = Vec::new();
     for &n in &scale.ranges {
         // (label, runner) per map flavor; monomorphized through the closure.
-        let mut run = |label: &str, out: Option<(f64, f64, RecoveryReport)>, streaming: bool| {
+        let mut run = |label: &str, out: Option<(f64, f64, RecoveryReport)>| {
             let Some((mean, sd, report)) = out else {
                 eprintln!("failpoints are compiled out (build with --features failpoints); \
                            nothing to measure");
@@ -133,20 +122,17 @@ fn main() {
                 "{label:<12}{n:>10}  {strategy:<12}{:>12}ns{:>10}ns{:>10}",
                 mean as u64, sd as u64, report.nodes_salvaged
             );
-            let suffix = if streaming { "/streaming" } else { "" };
             rows.push(SummaryRow {
-                config: format!("recovery/{label}/{n}{suffix}"),
+                config: format!("recovery/{label}/{n}"),
                 threads: 1,
                 mean,
                 stddev: sd,
                 reps: scale.reps,
             });
         };
-        for streaming in [false, true] {
-            run("lo-avl", cell(LoAvlMap::new, n, scale.reps, streaming), streaming);
-            run("lo-avl-pe", cell(LoPeAvlMap::new, n, scale.reps, streaming), streaming);
-            run("lo-bst", cell(LoBstMap::new, n, scale.reps, streaming), streaming);
-        }
+        run("lo-avl", cell(LoAvlMap::new, n, scale.reps));
+        run("lo-avl-pe", cell(LoPeAvlMap::new, n, scale.reps));
+        run("lo-bst", cell(LoBstMap::new, n, scale.reps));
     }
 
     if want_summary {

@@ -36,8 +36,9 @@
 
 use std::any::Any;
 use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 use crate::rng::Seeder;
 
@@ -420,6 +421,41 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> Option<&str> {
         Some(s)
     } else {
         payload.downcast_ref::<&'static str>().copied()
+    }
+}
+
+/// Runs `op` under a one-shot panic plan at `point` and returns whether the
+/// operation it killed had linearized (the panic's effect marker). Asserts
+/// that the point fired exactly once, that the injection marker round-trips
+/// and that the panic message names the point.
+pub fn kill_at(point: FailPoint, op: impl FnOnce()) -> bool {
+    let session = activate(FaultPlan::new(0).panic_at(point));
+    let outcome = catch_unwind(AssertUnwindSafe(op));
+    assert_eq!(session.fired(), 1, "expected exactly one injection at {}", point.name());
+    drop(session);
+    let payload = outcome.expect_err("armed failpoint must kill the writer");
+    assert_eq!(take_injected_panic(), Some(point), "injection marker must round-trip");
+    let msg = panic_message(payload.as_ref()).expect("injected panic has a string payload");
+    assert!(msg.contains(point.name()), "panic message names the failpoint: {msg}");
+    effect_in_message(msg).expect("injected panic carries an effect marker")
+}
+
+/// Replaces the panic hook with one that drops the report of an injected
+/// fault (a message carrying an effect marker) and forwards every other
+/// panic to the previous hook. The returned closure puts plain forwarding
+/// back. The hook is process-global: callers that install it around a
+/// plan run hold the plan's session, which serializes them.
+pub fn silence_injected_panics() -> impl FnOnce() {
+    let prev = Arc::new(std::panic::take_hook());
+    let filter_prev = Arc::clone(&prev);
+    std::panic::set_hook(Box::new(move |info| {
+        if panic_message(info.payload()).is_none_or(|m| effect_in_message(m).is_none()) {
+            filter_prev(info);
+        }
+    }));
+    move || {
+        let _ = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| prev(info)));
     }
 }
 

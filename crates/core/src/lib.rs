@@ -74,11 +74,6 @@ pub use lo_api::{FallibleMap, PoisonCause, TreeError};
 /// the quarantine→audit→repair→resume entry point's report/error types.
 pub use lo_api::{Health, RecoverError, RecoveryReport, RepairStrategy};
 
-/// Forces the streaming-rebuild recovery strategy for recoveries run on the
-/// calling thread. Test/bench hook; not part of the stable API.
-#[doc(hidden)]
-pub use recover::force_streaming_rebuild;
-
 /// Core map traits (re-exported from `lo-api`) so downstream users get the
 /// point-op and ordered-access surfaces without a separate dependency:
 /// [`OrderedRead`] is the concurrent streaming-scan interface backed by the

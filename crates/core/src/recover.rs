@@ -1,5 +1,5 @@
 //! Online recovery: quarantine, audit, and repair a poisoned tree back to
-//! writable (ISSUE 9 tentpole).
+//! writable.
 //!
 //! A writer that dies inside its lock window poisons the tree
 //! (`poison.rs`), which rejects all further writes while the lock-free read
@@ -22,17 +22,14 @@
 //!    layout, a marked orphan still in it, a mid-relocation detach, stale
 //!    heights after an interrupted rotation.
 //! 3. **Repair** — if the layout audit passes, nothing more is needed
-//!    ([`RepairStrategy::AuditOnly`]). A damaged layout is rebuilt in place
-//!    from the surviving chain ([`RepairStrategy::InPlace`]): the subtree
-//!    is detached (readers fall back to the ordering chain, which lookups
-//!    already chase), one epoch grace period passes so no reader is still
-//!    descending the old shape, then a balanced layout is rebuilt over the
-//!    *same* nodes and republished with a single `Release` store. For a
-//!    genuine panic — damage the failpoint catalog does not describe — the
-//!    fallback is a full streaming rebuild into fresh nodes
-//!    ([`RepairStrategy::StreamingRebuild`]): values are *stolen* (pointer
-//!    hand-off, never cloned), the old generation is retired through the
-//!    epoch, and readers are never blocked. Orphans are retired either way.
+//!    ([`RepairStrategy::AuditOnly`]). Otherwise the layout is rebuilt in
+//!    place from the surviving chain ([`RepairStrategy::InPlace`]),
+//!    whatever the poison cause: the subtree is detached (readers fall
+//!    back to the ordering chain, which lookups already chase), one epoch
+//!    grace period passes so no reader is still descending the old shape,
+//!    then a balanced layout is rebuilt over the *same* nodes and
+//!    republished with a single `Release` store. Values never move.
+//!    Orphans are retired either way.
 //! 4. **Resume** — the repaired tree must pass the *full* (non-degraded)
 //!    invariant check while still quarantined; only then does the gate CAS
 //!    back to healthy with a bumped recovery generation. Writers that
@@ -45,32 +42,16 @@
 //! tree is exactly as recoverable (or not) as before the attempt.
 
 use lo_reclaim::{self as epoch, Shared};
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use crate::bound::Bound;
 use crate::node::{nref, Node};
-use crate::poison::{decode_cause, CODE_HEALTHY, CODE_PANIC};
+use crate::poison::{decode_cause, CODE_HEALTHY};
 use crate::sync::ContentionBackoff;
 use crate::tree::LoTree;
 use lo_api::{Health, Key, RecoverError, RecoveryReport, RepairStrategy, TreeError, Value};
 use lo_metrics::{add, record, Event};
-
-thread_local! {
-    /// Test/bench hook: force the streaming-rebuild strategy on this
-    /// thread's next recoveries regardless of the poison cause.
-    /// Thread-local so parallel tests cannot perturb each other.
-    static FORCE_STREAMING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Forces [`RepairStrategy::StreamingRebuild`] for recoveries run on the
-/// current thread. Test/bench hook — exported `#[doc(hidden)]` from the
-/// crate root.
-pub fn force_streaming_rebuild(on: bool) {
-    FORCE_STREAMING.with(|c| c.set(on));
-}
 
 /// Re-derefs a node address captured earlier in the same quarantine.
 ///
@@ -192,20 +173,12 @@ impl<K: Key, V: Value> LoTree<K, V> {
     /// inside the quarantine (gate claimed, writers drained).
     fn audit_and_repair(&self, prior: u32) -> Result<RecoveryReport, RecoverError> {
         let audit = self.audit()?;
-        let streaming = FORCE_STREAMING.with(Cell::get) || prior == CODE_PANIC;
-        let strategy = if streaming {
-            RepairStrategy::StreamingRebuild
-        } else if audit.layout_ok {
+        let strategy = if audit.layout_ok {
             RepairStrategy::AuditOnly
         } else {
+            self.rebuild_in_place(&audit.chain);
             RepairStrategy::InPlace
         };
-
-        match strategy {
-            RepairStrategy::AuditOnly => {}
-            RepairStrategy::InPlace => self.rebuild_in_place(&audit.chain),
-            RepairStrategy::StreamingRebuild => self.rebuild_streaming(&audit.chain)?,
-        }
 
         // Retire the orphans: unreachable once the chain is clean and the
         // (possibly rebuilt) layout contains chain nodes only.
@@ -391,7 +364,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
         true
     }
 
-    /// Phase 3a: in-place layout rebuild from the surviving chain. Readers
+    /// Phase 3: in-place layout rebuild from the surviving chain. Readers
     /// are redirected to the ordering chain (which lookups already chase)
     /// for the duration: detach, wait one grace period so nobody is still
     /// inside the old shape, rewrite, republish.
@@ -413,58 +386,6 @@ impl<K: Key, V: Value> LoTree<K, V> {
         // publishes the fully wired subtree ([inv:recovery-publish] in the
         // design registry) — readers see the old (null) or new top, whole.
         at::<K, V>(root).left.store(shp(top), Ordering::Release);
-    }
-
-    /// Phase 3b: full streaming rebuild into fresh nodes. Values are moved
-    /// by pointer hand-off; the old generation keeps serving pinned readers
-    /// until the epoch retires it ([`LoTree::retire_node_without_value`]).
-    fn rebuild_streaming(&self, chain: &[usize]) -> Result<(), RecoverError> {
-        let g = self.domain.pin();
-        let head = self.head_sh(&g).as_raw() as usize;
-        let root = self.root_sh(&g).as_raw() as usize;
-        let mut fresh: Vec<usize> = Vec::with_capacity(chain.len());
-        for &p in chain {
-            let old = at::<K, V>(p);
-            let Bound::Key(k) = old.key else {
-                // Sentinels can never be interior chain nodes.
-                return Err(RecoverError::VerifyFailed);
-            };
-            let node = self.alloc_node(Node::sentinel(Bound::Key(k)), &g);
-            // Steal the value pointer: ownership moves to the fresh node;
-            // the old node is retired *without* its value (deferred null).
-            let v = old.value.load(Ordering::Acquire, &g);
-            nref(node).value.store(v, Ordering::Relaxed);
-            let z = old.zombie.load(Ordering::Acquire);
-            nref(node).zombie.store(z, Ordering::Release);
-            fresh.push(node.as_raw() as usize);
-        }
-        // Wire the new generation fully before any publication store.
-        for (i, &p) in fresh.iter().enumerate() {
-            let n = at::<K, V>(p);
-            let prev = if i == 0 { head } else { fresh[i - 1] };
-            let next = if i + 1 == fresh.len() { root } else { fresh[i + 1] };
-            n.pred.store(shp(prev), Ordering::Release);
-            n.succ.store(shp(next), Ordering::Release);
-        }
-        let (top, _) = self.build_layout(&fresh, root);
-        // Publish: three independent Release stores, each a complete entry
-        // point into the new generation; a reader mixing generations only
-        // ever walks self-consistent pointers (the old generation is intact
-        // until retired). [inv:recovery-publish]
-        let first = fresh.first().copied().unwrap_or(root);
-        let last = fresh.last().copied().unwrap_or(head);
-        at::<K, V>(head).succ.store(shp(first), Ordering::Release);
-        at::<K, V>(root).pred.store(shp(last), Ordering::Release);
-        at::<K, V>(root).left.store(shp(top), Ordering::Release);
-        // Retire the old generation. Values were handed off above.
-        for &p in chain {
-            // SAFETY: [inv:recovery-chain-truth] the old node is no longer
-            // reachable from either published layout (both now reference the
-            // fresh generation only), and exactly one fresh node took over
-            // its value pointer — the retire-without-value contract.
-            unsafe { self.retire_node_without_value(shp(p), &g) };
-        }
-        Ok(())
     }
 
     /// Builds a height-balanced layout over `nodes` (ascending chain
@@ -498,6 +419,14 @@ mod tests {
     use lo_api::PoisonCause;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
+
+    /// Damages the layout: detaches the top's left subtree. The chain still
+    /// holds every key; the layout no longer does.
+    fn detach_top_left<V: Value>(t: &LoTree<i64, V>) {
+        let g = epoch::pin();
+        let top = nref(t.root_sh(&g)).left.load(Ordering::Acquire, &g);
+        nref(top).left.store(Shared::<Node<i64, V>>::null(), Ordering::Release);
+    }
 
     #[test]
     fn recover_on_healthy_tree_declines() {
@@ -539,13 +468,7 @@ mod tests {
         for k in 1..=16 {
             assert!(t.insert(k, k as u64));
         }
-        // Damage the layout: detach the top's left subtree. The chain still
-        // holds every key; the layout no longer does.
-        {
-            let g = epoch::pin();
-            let top = nref(t.root_sh(&g)).left.load(Ordering::Acquire, &g);
-            nref(top).left.store(Shared::<Node<i64, u64>>::null(), Ordering::Release);
-        }
+        detach_top_left(&t);
         t.gate.poison(CODE_RESTART_STORM);
 
         let report = t.try_recover().expect("chain-intact damage must repair");
@@ -571,11 +494,7 @@ mod tests {
         }
         // Damage that needs the in-place repair, whose grace-period wait
         // would spin forever on the scan's own pin.
-        {
-            let g = epoch::pin();
-            let top = nref(t.root_sh(&g)).left.load(Ordering::Acquire, &g);
-            nref(top).left.store(Shared::<Node<i64, u64>>::null(), Ordering::Release);
-        }
+        detach_top_left(&t);
         t.gate.poison(CODE_RESTART_STORM);
         let mut inside = None;
         t.scan_range(1..=16, |_| {
@@ -609,8 +528,8 @@ mod tests {
     }
 
     /// Value type that counts its drops, for leak/double-free accounting
-    /// across the streaming rebuild's value hand-off. (Also exercised under
-    /// Miri by the CI miri job's `recover::` filter.)
+    /// across a rebuild. (Also exercised under Miri by the CI miri job's
+    /// `recover::` filter.)
     #[derive(Clone)]
     struct Counted(#[allow(dead_code)] u64, Arc<AtomicUsize>);
     impl Drop for Counted {
@@ -620,24 +539,25 @@ mod tests {
     }
 
     #[test]
-    fn streaming_rebuild_steals_values_and_retires_old_nodes() {
+    fn panic_poisoning_rebuilds_in_place_without_dropping_values() {
         let drops = Arc::new(AtomicUsize::new(0));
         let t: LoTree<i64, Counted> = LoTree::new(true, false);
         for k in 1..=10 {
             assert!(t.insert(k, Counted(k as u64, Arc::clone(&drops))));
         }
-        // A genuine panic forces the conservative strategy.
+        detach_top_left(&t);
+        // A genuine panic takes the same audit-driven choice as any cause.
         t.gate.poison(CODE_PANIC);
-        let report = t.try_recover().expect("streaming rebuild must succeed");
-        assert_eq!(report.strategy, RepairStrategy::StreamingRebuild);
+        let report = t.try_recover().expect("a panic-poisoned chain must repair");
+        assert_eq!(report.strategy, RepairStrategy::InPlace);
         assert_eq!(report.cause, PoisonCause::Panic);
         assert_eq!(report.nodes_salvaged, 10);
-        // Flush the epoch until the old generation's deferred retirements
-        // run: stolen values must NOT drop with their old nodes.
+        assert_eq!(report.nodes_orphaned, 0);
+        // Flush the epoch: the rebuild retired nothing, so no value drops.
         for _ in 0..64 {
             epoch::pin().flush();
         }
-        assert_eq!(drops.load(Ordering::Relaxed), 0, "hand-off must not drop values");
+        assert_eq!(drops.load(Ordering::Relaxed), 0, "recovery must not drop values");
         for k in 1..=10 {
             assert_eq!(t.get_with(&k, |v| v.0), Some(k as u64));
         }
@@ -651,7 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_streaming_rebuild_via_test_hook() {
+    fn in_place_rebuild_keeps_pe_zombies() {
         let t: LoTree<i64, u64> = LoTree::new(false, true);
         // Insertion order gives key 3 two children (left 1, right 5) in the
         // unbalanced layout, so the PE removal is logical: zombie, not splice.
@@ -659,11 +579,10 @@ mod tests {
             assert!(t.insert(k, k as u64));
         }
         assert!(t.remove(&3)); // two children in PE mode: leaves a zombie
+        detach_top_left(&t);
         t.gate.poison(CODE_RESTART_STORM);
-        force_streaming_rebuild(true);
-        let report = t.try_recover().expect("forced streaming must succeed");
-        force_streaming_rebuild(false);
-        assert_eq!(report.strategy, RepairStrategy::StreamingRebuild);
+        let report = t.try_recover().expect("chain-intact damage must repair");
+        assert_eq!(report.strategy, RepairStrategy::InPlace);
         let census = t.check_invariants_quiescent();
         assert!(!census.degraded);
         assert_eq!(census.live_keys, 5);

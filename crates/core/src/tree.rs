@@ -156,40 +156,6 @@ impl<K: Key, V: Value> LoTree<K, V> {
         unsafe { g.defer_unchecked(recycle) };
     }
 
-    /// Like [`Self::retire_node`], but the node's value pointer was *stolen*
-    /// by a replacement node (streaming rebuild): after the grace period the
-    /// old node's value word is nulled *before* the node is destroyed, so
-    /// the value — now owned by its replacement — survives the old node's
-    /// drop. The null store must run inside the deferred closure, not
-    /// eagerly: readers pinned before the root swap may still dereference
-    /// the value through this node until the grace period ends.
-    ///
-    /// # Safety
-    /// Same contract as [`Self::retire_node`], plus: exactly one live node
-    /// must have taken over ownership of this node's value pointer.
-    pub(crate) unsafe fn retire_node_without_value(
-        &self,
-        node: Shared<'_, Node<K, V>>,
-        g: &Guard,
-    ) {
-        let arena = std::sync::Arc::clone(&self.arena);
-        let ptr = crate::arena::SendPtr::new(node.as_raw().cast_mut());
-        let recycle = move || {
-            // SAFETY: [inv:epoch-liveness] the slot is live until this deferred
-            // retirement runs; nulling the value word first disarms the
-            // node's value drop (ownership moved at the rebuild publish).
-            unsafe {
-                ptr.get().as_ref().value.store(Shared::null(), Ordering::Relaxed);
-                arena.retire(ptr.get())
-            }
-        };
-        // SAFETY: [inv:send-sync] (defer_unchecked) the closure captures only the
-        // Arc'd arena (Send + Sync) and the retired pointer; by this function's
-        // contract the node is unreachable, so running the retirement on
-        // any thread after the grace period is sound.
-        unsafe { g.defer_unchecked(recycle) };
-    }
-
     /// The `+∞` root sentinel (stable for the tree's lifetime).
     #[inline]
     pub(crate) fn root_sh<'g>(&self, g: &'g Guard) -> Shared<'g, Node<K, V>> {

@@ -20,27 +20,13 @@
 
 use lo_api::CheckInvariants;
 use lo_check::fail::{
-    activate, effect_in_message, panic_message, take_injected_panic, FailPoint, FaultPlan,
+    activate, effect_in_message, kill_at, panic_message, take_injected_panic, FailPoint, FaultPlan,
 };
 use lo_core::{
     set_max_restarts, FallibleMap, LoAvlMap, LoBstMap, LoPeAvlMap, LoPeBstMap, PoisonCause,
     TreeError,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Kills the writer driven by `op` at `point` (one-shot panic plan) and
-/// returns whether the interrupted operation had linearized.
-fn kill_at(point: FailPoint, op: impl FnOnce()) -> bool {
-    let session = activate(FaultPlan::new(0xDEAD_BEEF).panic_at(point));
-    let outcome = catch_unwind(AssertUnwindSafe(op));
-    assert_eq!(session.fired(), 1, "expected exactly one injection at {}", point.name());
-    drop(session);
-    let payload = outcome.expect_err("armed failpoint must kill the writer");
-    assert_eq!(take_injected_panic(), Some(point), "injection marker must round-trip");
-    let msg = panic_message(payload.as_ref()).expect("injected panic has a string payload");
-    assert!(msg.contains(point.name()), "panic message names the failpoint: {msg}");
-    effect_in_message(msg).expect("injected panic carries an effect marker")
-}
 
 /// Post-death contract shared by every kill scenario.
 fn assert_poisoned_by<M>(map: &M, point: FailPoint)

@@ -16,27 +16,11 @@
 #![cfg(feature = "failpoints")]
 
 use lo_api::PoisonCause;
-use lo_check::fail::{
-    activate, effect_in_message, panic_message, take_injected_panic, FailPoint, FaultPlan,
-};
+use lo_check::fail::{kill_at, FailPoint};
 use lo_core::{
     FallibleMap, Health, LoAvlMap, LoBstMap, LoPeAvlMap, LoPeBstMap, RecoveryReport,
     RepairStrategy,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Kills the writer driven by `op` at `point` (one-shot panic plan) and
-/// returns whether the interrupted operation had linearized.
-fn kill_at(point: FailPoint, op: impl FnOnce()) -> bool {
-    let session = activate(FaultPlan::new(0xBAD_C0DE).panic_at(point));
-    let outcome = catch_unwind(AssertUnwindSafe(op));
-    assert_eq!(session.fired(), 1, "expected exactly one injection at {}", point.name());
-    drop(session);
-    let payload = outcome.expect_err("armed failpoint must kill the writer");
-    assert_eq!(take_injected_panic(), Some(point), "injection marker must round-trip");
-    let msg = panic_message(payload.as_ref()).expect("injected panic has a string payload");
-    effect_in_message(msg).expect("injected panic carries an effect marker")
-}
 
 /// The scripted operation the armed failpoint interrupts.
 #[derive(Clone, Copy)]
@@ -225,33 +209,4 @@ fn window_arena_alloc() {
     let r = kill_recover_resume(&LoAvlMap::new(), FailPoint::ArenaAlloc, &[1], KillOp::Insert(2));
     assert_eq!(r.strategy, RepairStrategy::AuditOnly, "an unpublished death leaves no damage");
     kill_recover_resume(&LoBstMap::new(), FailPoint::ArenaAlloc, &[1], KillOp::Insert(2));
-}
-
-/// The streaming-rebuild strategy — normally reserved for untrusted-chain
-/// damage — must pass the same matrix contract when forced, on both the
-/// internal and partially-external flavors.
-#[test]
-fn forced_streaming_covers_the_matrix_contract() {
-    struct Hook;
-    impl Drop for Hook {
-        fn drop(&mut self) {
-            lo_core::force_streaming_rebuild(false);
-        }
-    }
-    let _hook = Hook;
-    lo_core::force_streaming_rebuild(true);
-    let r = kill_recover_resume(
-        &LoAvlMap::new(),
-        FailPoint::RemoveAfterMark,
-        &[1, 2, 3],
-        KillOp::Remove(2),
-    );
-    assert_eq!(r.strategy, RepairStrategy::StreamingRebuild);
-    let r = kill_recover_resume(
-        &LoPeAvlMap::new(),
-        FailPoint::PeAfterMark,
-        &[1, 2],
-        KillOp::Remove(2),
-    );
-    assert_eq!(r.strategy, RepairStrategy::StreamingRebuild);
 }

@@ -23,7 +23,7 @@
 use crate::router::{HashPartitioner, Partitioner, RangePartitioner, ShardRouter, MAX_SHARDS};
 use lo_api::{
     CheckInvariants, ConcurrentMap, FallibleMap, Health, Key, OrderedRead, QuiescentOrdered,
-    RecoverError, RecoveryReport, RepairStrategy, TreeError, Value,
+    RecoverError, RecoveryReport, TreeError, Value,
 };
 use lo_core::{EpochDomain, LoAvlMap, LoBstMap, LoPeAvlMap, LoPeBstMap, RangeCursor};
 use std::hash::Hash;
@@ -243,9 +243,10 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
 
     /// Recovers **every** poisoned shard, one at a time, and merges the
     /// per-shard post-mortems: counters are summed, `strategy` is the most
-    /// invasive repair performed, `cause` is the first recovered shard's,
-    /// and `generation` is the store generation ([`Self::recovery_generation`])
-    /// after the pass, truncated to `u32`. Partial success is success: if at
+    /// invasive repair performed (the `max`), `cause` is the first
+    /// recovered shard's, and `generation` is the store generation
+    /// ([`Self::recovery_generation`]) after the pass, truncated to `u32`.
+    /// Partial success is success: if at
     /// least one shard came back the merged report is returned and
     /// [`Self::health`] tells the caller what is still degraded; if none
     /// did, the first failure is returned.
@@ -261,7 +262,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
                     merged = Some(match merged.take() {
                         None => report,
                         Some(mut acc) => {
-                            acc.strategy = most_invasive(acc.strategy, report.strategy);
+                            acc.strategy = acc.strategy.max(report.strategy);
                             acc.writers_drained += report.writers_drained;
                             acc.nodes_salvaged += report.nodes_salvaged;
                             acc.nodes_orphaned += report.nodes_orphaned;
@@ -454,17 +455,6 @@ impl<K: Key, V: Value, M: ShardMap<K, V>> ShardedStore<K, V, M, RangePartitioner
     pub fn range_sharded(splits: Vec<K>) -> Self {
         Self::with_partitioner(RangePartitioner::new(splits))
     }
-}
-
-fn most_invasive(a: RepairStrategy, b: RepairStrategy) -> RepairStrategy {
-    fn rank(s: RepairStrategy) -> u8 {
-        match s {
-            RepairStrategy::AuditOnly => 0,
-            RepairStrategy::InPlace => 1,
-            RepairStrategy::StreamingRebuild => 2,
-        }
-    }
-    if rank(b) > rank(a) { b } else { a }
 }
 
 impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ConcurrentMap<K, V>
@@ -703,15 +693,33 @@ mod tests {
         assert_eq!(s.try_remove(&1), Ok(true));
     }
 
+    /// A merged-scan callback asking for recovery of a covered, poisoned
+    /// shard gets `Pinned` back instead of waiting on its own pin.
+    #[cfg(feature = "failpoints")]
     #[test]
-    fn merge_strategy_rank() {
-        assert_eq!(
-            most_invasive(RepairStrategy::AuditOnly, RepairStrategy::StreamingRebuild),
-            RepairStrategy::StreamingRebuild
-        );
-        assert_eq!(
-            most_invasive(RepairStrategy::InPlace, RepairStrategy::AuditOnly),
-            RepairStrategy::InPlace
-        );
+    fn recovery_from_a_scan_callback_is_refused_while_pinned() {
+        use lo_check::fail::{kill_at, FailPoint};
+        let s = RangeStore::range_sharded(vec![100]);
+        for k in [10, 20, 30, 110, 120] {
+            assert!(s.insert(k, k as u64));
+        }
+        assert!(kill_at(FailPoint::RemoveAfterMark, || {
+            let _ = s.try_remove(&20);
+        }));
+        let degraded = Health::Degraded { shards: 0b1 };
+        assert_eq!(s.health(), degraded);
+        let mut inside = None;
+        s.scan_range(0..=200, |k| {
+            if k == 10 {
+                inside = Some((s.try_recover(), s.try_recover_shard(0)));
+            }
+        });
+        let pinned = Err(RecoverError::Pinned);
+        assert_eq!(inside, Some((pinned.clone(), pinned)));
+        assert_eq!(s.health(), degraded);
+        let report = s.try_recover().expect("recovery succeeds once the scan has ended");
+        assert_eq!(report.strategy, lo_api::RepairStrategy::InPlace);
+        assert_eq!(s.health(), Health::Writable);
+        assert_eq!(s.keys_in_order(), vec![10, 30, 110, 120]);
     }
 }

@@ -3,8 +3,15 @@
 //! [`run_chaos`] drives a mixed insert/remove/contains workload against any
 //! [`FallibleMap`] while a [`FaultPlan`] is installed, catching every
 //! injected writer death and classifying it through the panic effect
-//! markers (`[lo-fault:op-linearized]` / `[lo-fault:op-not-linearized]`).
-//! After the storm it verifies the survivors' world:
+//! markers (`[lo-fault:op-linearized]` / `[lo-fault:op-not-linearized]`);
+//! an unmarked panic is a genuine bug and is re-raised. The same storm
+//! loop drives [`run_chaos_recovery`] (45/35/0 insert/remove/scan
+//! percentages, against 40/30/[`ChaosSpec::scan_pct`] here) and the
+//! store round [`crate::run_chaos_store`] (40/30/10), and the two
+//! recovering rounds share one recover-under-load phase and one
+//! read-coherence check.
+//!
+//! After the storm, [`run_chaos`] verifies the survivors' world:
 //!
 //! * the full quiescent invariant check (poison-aware: a poisoned tree is
 //!   validated in degraded mode — ordering-chain invariants still hold);
@@ -32,17 +39,18 @@
 // tree-protocol locks (see clippy.toml).
 #![allow(clippy::disallowed_types)]
 
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use lo_api::{
-    CheckInvariants, FallibleMap, Health, OrderedRead, QuiescentOrdered, RecoverError,
-    RecoveryReport, TreeError,
+    CheckInvariants, ConcurrentMap, FallibleMap, Health, OrderedRead, QuiescentOrdered,
+    RecoverError, RecoveryReport, TreeError,
 };
 use lo_check::fail::{
-    activate, effect_in_message, panic_message, take_injected_panic, FailPoint, FaultPlan,
-    SessionTicket,
+    activate, effect_in_message, panic_message, silence_injected_panics, take_injected_panic,
+    FailPoint, FaultPlan, SessionTicket,
 };
 use lo_check::lin::{is_linearizable, CompletedOp, LinOp, Recorder};
 use lo_check::rng::{Rng, Seeder};
@@ -178,151 +186,18 @@ where
     // until the session drops.
     lo_metrics::flight::arm_post_mortem();
 
-    let recorder = spec.check_linearizability.then(Recorder::new);
-    let history: Mutex<Vec<CompletedOp>> = Mutex::new(Vec::new());
-    let scan_obs: Mutex<Vec<ScanObservation>> = Mutex::new(Vec::new());
-    let ops_completed = AtomicU64::new(0);
-    let injected_panics = AtomicU64::new(0);
-    let aborted_ops = AtomicU64::new(0);
-    let rejected_writes = AtomicU64::new(0);
-    let recovering_writes = AtomicU64::new(0);
-    let alloc_failures = AtomicU64::new(0);
-    let scans_completed = AtomicU64::new(0);
-    let scan_keys_yielded = AtomicU64::new(0);
-
+    let recording = spec.check_linearizability.then(Recording::default);
+    let counts = StormCounts::default();
     let mut seeder = Seeder::new(spec.seed);
-    let thread_seeds: Vec<u64> = (0..spec.threads).map(|_| seeder.next_u64()).collect();
-    let ticket = session.ticket();
-
-    std::thread::scope(|s| {
-        for &tseed in &thread_seeds {
-            let (recorder, history) = (&recorder, &history);
-            let (ops_completed, injected_panics) = (&ops_completed, &injected_panics);
-            let (aborted_ops, rejected_writes) = (&aborted_ops, &rejected_writes);
-            let (recovering_writes, alloc_failures) = (&recovering_writes, &alloc_failures);
-            let (scan_obs, scans_completed) = (&scan_obs, &scans_completed);
-            let scan_keys_yielded = &scan_keys_yielded;
-            s.spawn(move || {
-                ticket.join();
-                let mut rng = Rng::new(tseed);
-                for _ in 0..spec.ops_per_thread {
-                    let key = rng.next_below(spec.keys) as i64;
-                    let roll = rng.next_below(100);
-                    if spec.scan_pct > 0 && roll >= 100 - u64::from(spec.scan_pct) {
-                        // Range scan over an 8-key window from the drawn
-                        // key. Lock-free read path: it must complete (and
-                        // obey the cursor contract) even mid-storm on a
-                        // poisoned tree.
-                        let hi = (key + 7).min(spec.keys as i64 - 1);
-                        let invoke = recorder.as_ref().map(Recorder::stamp);
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            let mut ks = Vec::new();
-                            map.scan_range(key..=hi, &mut |k| ks.push(k));
-                            ks
-                        }));
-                        let response = recorder.as_ref().map(Recorder::stamp);
-                        match outcome {
-                            Ok(ks) => {
-                                assert!(
-                                    ks.windows(2).all(|w| w[0] < w[1]),
-                                    "chaos scan yields not strictly ascending: {ks:?}"
-                                );
-                                assert!(
-                                    ks.iter().all(|&k| (key..=hi).contains(&k)),
-                                    "chaos scan strayed outside [{key}, {hi}]: {ks:?}"
-                                );
-                                ops_completed.fetch_add(1, Ordering::Relaxed);
-                                scans_completed.fetch_add(1, Ordering::Relaxed);
-                                scan_keys_yielded.fetch_add(ks.len() as u64, Ordering::Relaxed);
-                                if let (Some(invoke), Some(response)) = (invoke, response) {
-                                    scan_obs.lock().expect("scan mutex").push(ScanObservation {
-                                        lo: key as u8,
-                                        hi: hi as u8,
-                                        keys: ks.iter().map(|&k| k as u8).collect(),
-                                        invoke,
-                                        response,
-                                    });
-                                }
-                            }
-                            Err(payload) => {
-                                // The scan path takes no locks and hosts no
-                                // failpoints; treat anything unmarked as a
-                                // genuine bug, like the write path does.
-                                let injected = take_injected_panic().is_some();
-                                let effect =
-                                    panic_message(payload.as_ref()).and_then(effect_in_message);
-                                if !injected && effect.is_none() {
-                                    resume_unwind(payload);
-                                }
-                                let ctr = if injected { injected_panics } else { aborted_ops };
-                                ctr.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        continue;
-                    }
-                    let (op, val) = if roll < 40 {
-                        (LinOp::Insert, rng.next_u64())
-                    } else if roll < 70 {
-                        (LinOp::Remove, 0)
-                    } else {
-                        (LinOp::Contains, 0)
-                    };
-                    let invoke = recorder.as_ref().map(Recorder::stamp);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| match op {
-                        LinOp::Insert => map.try_insert(key, val),
-                        LinOp::Remove => map.try_remove(&key),
-                        LinOp::Contains => Ok(map.contains(&key)),
-                    }));
-                    let response = recorder.as_ref().map(Recorder::stamp);
-                    let recorded = match outcome {
-                        Ok(Ok(result)) => {
-                            ops_completed.fetch_add(1, Ordering::Relaxed);
-                            Some(result)
-                        }
-                        Ok(Err(TreeError::Poisoned(_))) => {
-                            rejected_writes.fetch_add(1, Ordering::Relaxed);
-                            None // rejected up front: no effect
-                        }
-                        Ok(Err(TreeError::Recovering)) => {
-                            recovering_writes.fetch_add(1, Ordering::Relaxed);
-                            None // turned away at the recovery gate: no effect
-                        }
-                        Ok(Err(TreeError::AllocFailed)) => {
-                            alloc_failures.fetch_add(1, Ordering::Relaxed);
-                            None // allocation failure: no effect
-                        }
-                        Err(payload) => {
-                            let injected = take_injected_panic().is_some();
-                            let effect =
-                                panic_message(payload.as_ref()).and_then(effect_in_message);
-                            if !injected && effect.is_none() {
-                                // Not fault-related: a genuine bug surfaced
-                                // under chaos. Re-raise it.
-                                resume_unwind(payload);
-                            }
-                            let ctr = if injected { injected_panics } else { aborted_ops };
-                            ctr.fetch_add(1, Ordering::Relaxed);
-                            // A writer killed *after* its linearization
-                            // point completed an effective insert/remove;
-                            // one killed before it had no effect.
-                            (effect == Some(true)).then_some(true)
-                        }
-                    };
-                    if let (Some(result), Some(invoke), Some(response)) =
-                        (recorded, invoke, response)
-                    {
-                        history.lock().expect("history mutex").push(CompletedOp {
-                            op,
-                            key: key as u8,
-                            result,
-                            invoke,
-                            response,
-                        });
-                    }
-                }
-            });
-        }
-    });
+    let seeds: Vec<u64> = (0..spec.threads).map(|_| seeder.next_u64()).collect();
+    let storm = Storm {
+        keys: spec.keys,
+        ops_per_thread: spec.ops_per_thread,
+        mix: [40, 30, u64::from(spec.scan_pct)],
+        ticket: Some(session.ticket()),
+        recording: recording.as_ref(),
+    };
+    storm.run(map, &seeds, &counts);
 
     let fired = session.fired_counts();
     // Flight-recorder post-mortem: when the storm poisoned the map (and
@@ -341,25 +216,9 @@ where
     // 1. Full invariant sweep; degraded automatically when poisoned.
     map.check_invariants();
 
-    // 2. Read coherence: the lock-free membership test agrees with the
-    //    ordering-layout snapshot for the whole key universe.
-    let snapshot = map.keys_in_order();
-    for k in 0..spec.keys as i64 {
-        assert_eq!(
-            map.contains(&k),
-            snapshot.contains(&k),
-            "contains({k}) disagrees with the ordered snapshot (poisoned: {poisoned:?})"
-        );
-    }
-
-    // 2b. Streaming scans stay live in degraded mode and, at quiescence,
-    //     agree exactly with the snapshot (poisoned or not).
-    let mut scanned = Vec::new();
-    map.scan_range(0..=spec.keys as i64 - 1, &mut |k| scanned.push(k));
-    assert_eq!(
-        scanned, snapshot,
-        "quiescent full-range scan disagrees with the ordered snapshot (poisoned: {poisoned:?})"
-    );
+    // 2. Read coherence, poisoned or not: point reads and streaming scans
+    //    agree with the ordering-layout snapshot.
+    assert_reads_coherent(map, spec.keys, &format!("(poisoned: {poisoned:?})"));
 
     // 3. A poisoned tree must keep rejecting writers.
     if poisoned.is_some() {
@@ -375,33 +234,32 @@ where
 
     // 4. Linearizability of the recorded history, and coherence of every
     //    recorded scan against it.
-    let mut history = history.into_inner().expect("history mutex");
-    history.sort_by_key(|c| c.invoke);
-    if spec.check_linearizability {
+    let mut history_len = 0;
+    if let Some(recording) = recording {
+        let (history, scans) = recording.into_sorted();
+        history_len = history.len();
         assert!(
             is_linearizable(&history, spec.initial),
-            "chaos history (len {}) is not linearizable under seed {}",
-            history.len(),
+            "chaos history (len {history_len}) is not linearizable under seed {}",
             spec.seed
         );
-        let scans = scan_obs.into_inner().expect("scan mutex");
         if let Err(v) = check_scan_coherence(&history, &scans, spec.initial) {
             panic!("chaos scan incoherent under seed {}: {v}", spec.seed);
         }
     }
 
     ChaosReport {
-        ops_completed: ops_completed.into_inner(),
-        injected_panics: injected_panics.into_inner(),
-        aborted_ops: aborted_ops.into_inner(),
-        rejected_writes: rejected_writes.into_inner(),
-        recovering_writes: recovering_writes.into_inner(),
-        alloc_failures: alloc_failures.into_inner(),
-        scans_completed: scans_completed.into_inner(),
-        scan_keys_yielded: scan_keys_yielded.into_inner(),
+        ops_completed: counts.ops_completed.into_inner(),
+        injected_panics: counts.injected_panics.into_inner(),
+        aborted_ops: counts.aborted_ops.into_inner(),
+        rejected_writes: counts.rejected_writes.into_inner(),
+        recovering_writes: counts.recovering_writes.into_inner(),
+        alloc_failures: counts.alloc_failures.into_inner(),
+        scans_completed: counts.scans_completed.into_inner(),
+        scan_keys_yielded: counts.scan_keys_yielded.into_inner(),
         fired,
         poisoned,
-        history_len: history.len(),
+        history_len,
         post_mortem,
     }
 }
@@ -481,99 +339,6 @@ impl RecoveryRoundReport {
     }
 }
 
-/// Per-phase outcome counters for the recovery harness.
-#[derive(Default)]
-struct RoundCounters {
-    injected_panics: AtomicU64,
-    aborted_ops: AtomicU64,
-    rejected_writes: AtomicU64,
-    recovering_writes: AtomicU64,
-}
-
-/// Drives `ops_per_thread` recorded point operations per seed against
-/// `map`, classifying every outcome exactly like [`run_chaos`] does
-/// (interrupted operations enter the history iff they passed their
-/// linearization point). With a `ticket`, the workers run under that
-/// session's plan; without one, fault-free.
-#[allow(clippy::too_many_arguments)]
-fn drive_phase<M>(
-    map: &M,
-    keys: u64,
-    ops_per_thread: usize,
-    seeds: &[u64],
-    ticket: Option<SessionTicket>,
-    recorder: &Recorder,
-    history: &Mutex<Vec<CompletedOp>>,
-    counters: &RoundCounters,
-) where
-    M: FallibleMap<i64, u64> + Sync,
-{
-    std::thread::scope(|s| {
-        for &tseed in seeds {
-            s.spawn(move || {
-                if let Some(ticket) = ticket {
-                    ticket.join();
-                }
-                let mut rng = Rng::new(tseed);
-                for _ in 0..ops_per_thread {
-                    let key = rng.next_below(keys) as i64;
-                    let roll = rng.next_below(100);
-                    let (op, val) = if roll < 45 {
-                        (LinOp::Insert, rng.next_u64())
-                    } else if roll < 80 {
-                        (LinOp::Remove, 0)
-                    } else {
-                        (LinOp::Contains, 0)
-                    };
-                    let invoke = recorder.stamp();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| match op {
-                        LinOp::Insert => map.try_insert(key, val),
-                        LinOp::Remove => map.try_remove(&key),
-                        LinOp::Contains => Ok(map.contains(&key)),
-                    }));
-                    let response = recorder.stamp();
-                    let recorded = match outcome {
-                        Ok(Ok(result)) => Some(result),
-                        Ok(Err(TreeError::Poisoned(_))) => {
-                            counters.rejected_writes.fetch_add(1, Ordering::Relaxed);
-                            None
-                        }
-                        Ok(Err(TreeError::Recovering)) => {
-                            counters.recovering_writes.fetch_add(1, Ordering::Relaxed);
-                            None
-                        }
-                        Ok(Err(TreeError::AllocFailed)) => None,
-                        Err(payload) => {
-                            let injected = take_injected_panic().is_some();
-                            let effect =
-                                panic_message(payload.as_ref()).and_then(effect_in_message);
-                            if !injected && effect.is_none() {
-                                resume_unwind(payload);
-                            }
-                            let ctr = if injected {
-                                &counters.injected_panics
-                            } else {
-                                &counters.aborted_ops
-                            };
-                            ctr.fetch_add(1, Ordering::Relaxed);
-                            (effect == Some(true)).then_some(true)
-                        }
-                    };
-                    if let Some(result) = recorded {
-                        history.lock().expect("history mutex").push(CompletedOp {
-                            op,
-                            key: key as u8,
-                            result,
-                            invoke,
-                            response,
-                        });
-                    }
-                }
-            });
-        }
-    });
-}
-
 /// Runs one kill→recover→resume round against `map`:
 ///
 /// 1. **storm** — a recorded workload under the armed `plan`; an injected
@@ -588,7 +353,8 @@ fn drive_phase<M>(
 /// 4. **verify** — the committed key set read off the poisoned chain
 ///    survives recovery exactly (every linearized op's effect is intact;
 ///    no unlinearized effect appears), the map ends
-///    [`Health::Writable`] with the *full* invariant set, and the combined
+///    [`Health::Writable`] with the *full* invariant set, `contains` and a
+///    full-range scan agree with the ordered snapshot, and the combined
 ///    history of all three phases passes the WGL linearizability check.
 ///
 /// If the armed kill never lands (shape-dependent windows may not be
@@ -624,29 +390,26 @@ where
     }
 
     let quiet = spec.quiet.then(silence_injected_panics);
-    let recorder = Recorder::new();
-    let history: Mutex<Vec<CompletedOp>> = Mutex::new(Vec::new());
-    let storm = RoundCounters::default();
-    let resumed = RoundCounters::default();
+    let recording = Recording::default();
+    let storm = StormCounts::default();
+    let resumed = StormCounts::default();
 
     let mut seeder = Seeder::new(spec.seed);
     let storm_seeds: Vec<u64> = (0..spec.threads).map(|_| seeder.next_u64()).collect();
     let resume_seeds: Vec<u64> = (0..spec.threads).map(|_| seeder.next_u64()).collect();
+    let mut phase = Storm {
+        keys: spec.keys,
+        ops_per_thread: spec.storm_ops,
+        mix: [45, 35, 0],
+        ticket: None,
+        recording: Some(&recording),
+    };
 
     // ---- phase 1: storm under the armed plan ----
     {
         let session = activate(plan);
-        let ticket = Some(session.ticket());
-        drive_phase(
-            map,
-            spec.keys,
-            spec.storm_ops,
-            &storm_seeds,
-            ticket,
-            &recorder,
-            &history,
-            &storm,
-        );
+        phase.ticket = Some(session.ticket());
+        phase.run(map, &storm_seeds, &storm);
         drop(session); // recovery and resume run fault-free
     }
 
@@ -660,61 +423,33 @@ where
         // ever *inserts* `probe_key`, the one delta tolerated.)
         let before = map.keys_in_order();
         let probe_key = (spec.seed % spec.keys) as i64;
-        let done = AtomicBool::new(false);
-        let mut outcome = None;
-        let mut writer_op = None;
-        std::thread::scope(|s| {
-            let recoverer = s.spawn(|| {
-                let r = map.try_recover();
-                done.store(true, Ordering::Release);
-                r
-            });
-            // Lock-free reads keep completing while the recoverer works.
-            let reader = s.spawn(|| {
-                while !done.load(Ordering::Acquire) {
-                    for k in 0..spec.keys as i64 {
-                        let _ = map.contains(&k);
+        // A writer arriving mid-recovery is turned away (Recovering once
+        // quarantine begins, Poisoned if it races ahead of the hand-off
+        // CAS) and retries until the gate reopens.
+        let (outcome, writer_op) = recover_under_load(map, 0..spec.keys as i64, |done| {
+            let invoke = recording.clock.stamp();
+            loop {
+                match map.try_insert(probe_key, u64::MAX) {
+                    Ok(result) => {
+                        return Some(CompletedOp {
+                            op: LinOp::Insert,
+                            key: probe_key as u8,
+                            result,
+                            invoke,
+                            response: recording.clock.stamp(),
+                        });
+                    }
+                    Err(e) => {
+                        storm.refused(e).fetch_add(1, Ordering::Relaxed);
                     }
                 }
-            });
-            // A writer arriving mid-recovery is turned away (Recovering
-            // once quarantine begins, Poisoned if it races ahead of the
-            // hand-off CAS) and retries until the gate reopens.
-            let writer = s.spawn(|| {
-                let invoke = recorder.stamp();
-                loop {
-                    match map.try_insert(probe_key, u64::MAX) {
-                        Ok(result) => {
-                            let response = recorder.stamp();
-                            return Some(CompletedOp {
-                                op: LinOp::Insert,
-                                key: probe_key as u8,
-                                result,
-                                invoke,
-                                response,
-                            });
-                        }
-                        Err(TreeError::Recovering) => {
-                            storm.recovering_writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(TreeError::Poisoned(_)) => {
-                            storm.rejected_writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(TreeError::AllocFailed) => {}
-                    }
-                    if done.load(Ordering::Acquire) && map.poisoned().is_some() {
-                        return None; // recovery failed; asserted below
-                    }
-                    std::hint::spin_loop();
+                if done.load(Ordering::Acquire) && map.poisoned().is_some() {
+                    return None; // recovery failed; asserted below
                 }
-            });
-            outcome = Some(recoverer.join().expect("recoverer must not panic"));
-            reader.join().expect("mid-recovery reader must not panic");
-            writer_op = writer.join().expect("mid-recovery writer must not panic");
+                std::hint::spin_loop();
+            }
         });
-        let report = outcome
-            .expect("recoverer joined")
-            .unwrap_or_else(|e| panic!("recovery of a killed tree failed: {e:?}"));
+        let report = outcome.unwrap_or_else(|e| panic!("recovery of a killed tree failed: {e:?}"));
         assert!(report.generation >= 1, "recovery must bump the generation");
         assert!(
             report.nodes_salvaged >= before.len(),
@@ -733,7 +468,7 @@ where
             );
         }
         let op = writer_op.expect("recovery succeeded, so the queued writer must have landed");
-        history.lock().expect("history mutex").push(op);
+        recording.ops.lock().expect("history mutex").push(op);
         Some(report)
     } else {
         // The one-shot never landed: recovery on a healthy map declines.
@@ -746,16 +481,9 @@ where
 
     // ---- phase 3: resume on the reopened gate ----
     if spec.resume_ops > 0 {
-        drive_phase(
-            map,
-            spec.keys,
-            spec.resume_ops,
-            &resume_seeds,
-            None,
-            &recorder,
-            &history,
-            &resumed,
-        );
+        phase.ticket = None;
+        phase.ops_per_thread = spec.resume_ops;
+        phase.run(map, &resume_seeds, &resumed);
         assert_eq!(resumed.injected_panics.load(Ordering::Relaxed), 0);
         assert_eq!(resumed.aborted_ops.load(Ordering::Relaxed), 0);
         assert_eq!(
@@ -770,20 +498,12 @@ where
         restore();
     }
 
-    // ---- verify: writable, fully invariant, linearizable across the
-    //      recovery boundary ----
+    // ---- verify: writable, fully invariant, coherent, linearizable
+    //      across the recovery boundary ----
     assert_eq!(map.health(), Health::Writable, "round must end writable");
     map.check_invariants();
-    let snapshot = map.keys_in_order();
-    for k in 0..spec.keys as i64 {
-        assert_eq!(
-            map.contains(&k),
-            snapshot.contains(&k),
-            "contains({k}) disagrees with the ordered snapshot after recovery"
-        );
-    }
-    let mut history = history.into_inner().expect("history mutex");
-    history.sort_by_key(|c| c.invoke);
+    assert_reads_coherent(map, spec.keys, "after recovery");
+    let (history, _) = recording.into_sorted();
     assert!(
         is_linearizable(&history, initial_mask),
         "kill→recover→resume history (len {}) is not linearizable under seed {}",
@@ -802,24 +522,243 @@ where
     }
 }
 
-/// Replaces the panic hook with one that swallows injected-fault panics
-/// (payloads carrying an effect marker) and forwards everything else.
-/// Returns a closure that restores forwarding-to-the-previous-hook
-/// behavior. Chaos runs are serialized by the plan session, so the global
-/// hook swap does not race with other runs.
-pub(crate) fn silence_injected_panics() -> impl FnOnce() {
-    let prev = Arc::new(std::panic::take_hook());
-    let filter_prev = Arc::clone(&prev);
-    std::panic::set_hook(Box::new(move |info| {
-        let marked = panic_message(info.payload()).is_some_and(|m| effect_in_message(m).is_some());
-        if !marked {
-            filter_prev(info);
+/// Outcome counters of one storm. Every attempted operation lands in
+/// exactly one of `ops_completed`, `injected_panics`, `aborted_ops`,
+/// `rejected_writes`, `recovering_writes` and `alloc_failures`.
+#[derive(Default)]
+pub(crate) struct StormCounts {
+    pub(crate) ops_completed: AtomicU64,
+    pub(crate) injected_panics: AtomicU64,
+    pub(crate) aborted_ops: AtomicU64,
+    pub(crate) rejected_writes: AtomicU64,
+    pub(crate) recovering_writes: AtomicU64,
+    pub(crate) alloc_failures: AtomicU64,
+    pub(crate) scans_completed: AtomicU64,
+    pub(crate) scan_keys_yielded: AtomicU64,
+}
+
+impl StormCounts {
+    /// The counter for a write turned away with `e` (it had no effect).
+    fn refused(&self, e: TreeError) -> &AtomicU64 {
+        match e {
+            TreeError::Poisoned(_) => &self.rejected_writes,
+            TreeError::Recovering => &self.recovering_writes,
+            TreeError::AllocFailed => &self.alloc_failures,
         }
-    }));
-    move || {
-        let _ = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| prev(info)));
     }
+
+    /// Counts a caught panic and returns whether the operation it killed
+    /// had linearized. Injected deaths and marked aborts (a consequence of
+    /// a fault, such as a poisoned-tree abort at a restart edge) count; an
+    /// unmarked panic is a genuine bug and is re-raised.
+    fn caught(&self, payload: Box<dyn Any + Send>) -> bool {
+        let injected = take_injected_panic().is_some();
+        let effect = panic_message(payload.as_ref()).and_then(effect_in_message);
+        if !injected && effect.is_none() {
+            resume_unwind(payload);
+        }
+        let ctr = if injected { &self.injected_panics } else { &self.aborted_ops };
+        ctr.fetch_add(1, Ordering::Relaxed);
+        effect == Some(true)
+    }
+}
+
+/// A recorded history: one clock, the completed point operations and the
+/// scan observations.
+#[derive(Default)]
+pub(crate) struct Recording {
+    clock: Recorder,
+    ops: Mutex<Vec<CompletedOp>>,
+    scans: Mutex<Vec<ScanObservation>>,
+}
+
+impl Recording {
+    /// The point-operation history sorted by invocation, and the scans.
+    fn into_sorted(self) -> (Vec<CompletedOp>, Vec<ScanObservation>) {
+        let mut ops = self.ops.into_inner().expect("history mutex");
+        ops.sort_by_key(|c| c.invoke);
+        (ops, self.scans.into_inner().expect("scan mutex"))
+    }
+}
+
+/// One storm: `ops_per_thread` operations on each of its threads over keys
+/// `0..keys`. A roll in `0..100` picks the operation: below `mix[0]` an
+/// insert, below `mix[0] + mix[1]` a remove, in the top `mix[2]` an
+/// 8-key range scan from the drawn key, and `contains` otherwise. Each
+/// thread draws its key, then its roll, then (inserts only) its value.
+pub(crate) struct Storm<'a> {
+    pub(crate) keys: u64,
+    pub(crate) ops_per_thread: usize,
+    pub(crate) mix: [u64; 3],
+    /// With a ticket the workers run under that session's plan; without
+    /// one, fault-free.
+    pub(crate) ticket: Option<SessionTicket>,
+    /// Where completed operations are recorded; interrupted ones enter the
+    /// history iff they passed their linearization point.
+    pub(crate) recording: Option<&'a Recording>,
+}
+
+impl Storm<'_> {
+    /// Runs one worker per seed against `map` and waits for all of them.
+    pub(crate) fn run<M>(&self, map: &M, seeds: &[u64], counts: &StormCounts)
+    where
+        M: FallibleMap<i64, u64> + OrderedRead<i64> + Sync,
+    {
+        std::thread::scope(|s| {
+            for &seed in seeds {
+                s.spawn(move || self.worker(map, seed, counts));
+            }
+        });
+    }
+
+    fn worker<M>(&self, map: &M, seed: u64, counts: &StormCounts)
+    where
+        M: FallibleMap<i64, u64> + OrderedRead<i64>,
+    {
+        if let Some(ticket) = self.ticket {
+            ticket.join();
+        }
+        let stamp = || self.recording.map(|r| r.clock.stamp());
+        let [insert_pct, remove_pct, scan_pct] = self.mix;
+        let mut rng = Rng::new(seed);
+        for _ in 0..self.ops_per_thread {
+            let key = rng.next_below(self.keys) as i64;
+            let roll = rng.next_below(100);
+            if roll >= 100 - scan_pct {
+                // Lock-free read path: the scan must complete (and obey the
+                // cursor contract) even mid-storm on a poisoned map.
+                let hi = (key + 7).min(self.keys as i64 - 1);
+                let invoke = stamp();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let mut ks = Vec::new();
+                    map.scan_range(key..=hi, &mut |k| ks.push(k));
+                    ks
+                }));
+                let response = stamp();
+                let ks = match outcome {
+                    Ok(ks) => ks,
+                    Err(payload) => {
+                        counts.caught(payload);
+                        continue;
+                    }
+                };
+                assert!(
+                    ks.windows(2).all(|w| w[0] < w[1]),
+                    "chaos scan yields not strictly ascending: {ks:?}"
+                );
+                assert!(
+                    ks.iter().all(|&k| (key..=hi).contains(&k)),
+                    "chaos scan strayed outside [{key}, {hi}]: {ks:?}"
+                );
+                counts.ops_completed.fetch_add(1, Ordering::Relaxed);
+                counts.scans_completed.fetch_add(1, Ordering::Relaxed);
+                counts.scan_keys_yielded.fetch_add(ks.len() as u64, Ordering::Relaxed);
+                if let (Some(r), Some(invoke), Some(response)) = (self.recording, invoke, response) {
+                    r.scans.lock().expect("scan mutex").push(ScanObservation {
+                        lo: key as u8,
+                        hi: hi as u8,
+                        keys: ks.iter().map(|&k| k as u8).collect(),
+                        invoke,
+                        response,
+                    });
+                }
+                continue;
+            }
+            let (op, val) = if roll < insert_pct {
+                (LinOp::Insert, rng.next_u64())
+            } else if roll < insert_pct + remove_pct {
+                (LinOp::Remove, 0)
+            } else {
+                (LinOp::Contains, 0)
+            };
+            let invoke = stamp();
+            let outcome = catch_unwind(AssertUnwindSafe(|| match op {
+                LinOp::Insert => map.try_insert(key, val),
+                LinOp::Remove => map.try_remove(&key),
+                LinOp::Contains => Ok(map.contains(&key)),
+            }));
+            let response = stamp();
+            let result = match outcome {
+                Ok(Ok(result)) => {
+                    counts.ops_completed.fetch_add(1, Ordering::Relaxed);
+                    Some(result)
+                }
+                Ok(Err(e)) => {
+                    counts.refused(e).fetch_add(1, Ordering::Relaxed);
+                    None
+                }
+                // A writer killed *after* its linearization point completed
+                // an effective insert/remove; one killed before had no effect.
+                Err(payload) => counts.caught(payload).then_some(true),
+            };
+            if let (Some(r), Some(result), Some(invoke), Some(response)) =
+                (self.recording, result, invoke, response)
+            {
+                r.ops.lock().expect("history mutex").push(CompletedOp {
+                    op,
+                    key: key as u8,
+                    result,
+                    invoke,
+                    response,
+                });
+            }
+        }
+    }
+}
+
+/// Runs `map.try_recover()` on its own thread while a reader sweeps
+/// `contains` over `sweep` and `writer` runs beside both; `writer` gets the
+/// flag that turns true once the recoverer has returned. Lock-free reads
+/// must keep completing throughout. Returns the recoverer's and the
+/// writer's results.
+pub(crate) fn recover_under_load<M, W>(
+    map: &M,
+    sweep: impl Iterator<Item = i64> + Clone + Send,
+    writer: impl FnOnce(&AtomicBool) -> W + Send,
+) -> (Result<RecoveryReport, RecoverError>, W)
+where
+    M: FallibleMap<i64, u64> + Sync,
+    W: Send,
+{
+    let done = &AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let recoverer = s.spawn(|| {
+            let r = map.try_recover();
+            done.store(true, Ordering::Release);
+            r
+        });
+        let reader = s.spawn(move || {
+            while !done.load(Ordering::Acquire) {
+                for k in sweep.clone() {
+                    let _ = map.contains(&k);
+                }
+            }
+        });
+        let writer = s.spawn(move || writer(done));
+        let report = recoverer.join().expect("recoverer must not panic");
+        reader.join().expect("mid-recovery reader must not panic");
+        (report, writer.join().expect("mid-recovery writer must not panic"))
+    })
+}
+
+/// Asserts that reads agree at quiescence: `contains` matches the ordered
+/// snapshot for every key in `0..keys`, and a full-range scan yields the
+/// snapshot exactly. `when` ends the failure messages.
+pub(crate) fn assert_reads_coherent<M>(map: &M, keys: u64, when: &str)
+where
+    M: ConcurrentMap<i64, u64> + OrderedRead<i64> + QuiescentOrdered<i64>,
+{
+    let snapshot = map.keys_in_order();
+    for k in 0..keys as i64 {
+        assert_eq!(
+            map.contains(&k),
+            snapshot.binary_search(&k).is_ok(),
+            "contains({k}) disagrees with the ordered snapshot {when}"
+        );
+    }
+    let mut scanned = Vec::new();
+    map.scan_range(0..=keys as i64 - 1, &mut |k| scanned.push(k));
+    assert_eq!(scanned, snapshot, "full-range scan disagrees with the ordered snapshot {when}");
 }
 
 #[cfg(test)]

@@ -1,13 +1,15 @@
 //! Chaos harness for the sharded store: poison one shard mid-storm, prove
-//! the blast radius stays inside it (ISSUE 10).
+//! the blast radius stays inside it.
 //!
 //! [`run_chaos`](crate::run_chaos) cannot drive a *partially* degraded
 //! store — its post-checks assume one failure domain (e.g. "poisoned ⇒
 //! `try_insert(i64::MAX)` is rejected", but `i64::MAX` may route to a
 //! perfectly healthy shard). [`run_chaos_store`] is the store-shaped round:
 //!
-//! 1. **storm** — a mixed workload on a range-sharded store under an armed
-//!    [`FaultPlan`]; an injected writer death poisons *its* shard only;
+//! 1. **storm** — the tree harness's storm loop (40/30/10 percent
+//!    inserts/removes/short stitched scans, the rest `contains`) on a
+//!    range-sharded store under an armed [`FaultPlan`]; an injected writer
+//!    death poisons *its* shard only;
 //! 2. **degraded service** — with the plan gone, assert reads (point and
 //!    stitched scans) work over the **whole** keyspace, writes succeed on
 //!    every healthy shard, and writes to the poisoned shard are rejected
@@ -22,22 +24,19 @@
 //!    land on every shard again, and the full invariant sweep (including
 //!    the store's routing invariant) passes.
 //!
-//! Without `lo-core/failpoints` the armed plan never fires; the round then
+//! Without the `failpoints` feature the armed plan never fires; the round then
 //! asserts the healthy-path equivalents (zero degraded shards, recovery
 //! declines). Deterministic from the seeds, like the tree-level harness.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use lo_api::{Health, RecoverError, RecoveryReport, TreeError};
-use lo_check::fail::{
-    activate, effect_in_message, panic_message, take_injected_panic, FailPoint, FaultPlan,
-};
-use lo_check::rng::{Rng, Seeder};
+use lo_check::fail::{activate, silence_injected_panics, FailPoint, FaultPlan};
+use lo_check::rng::Seeder;
 use lo_core::LoAvlMap;
 use lo_store::{RangePartitioner, ShardedStore};
 
-use crate::chaos::silence_injected_panics;
+use crate::chaos::{assert_reads_coherent, recover_under_load, Storm, StormCounts};
 
 /// The concrete store the chaos round drives: range-routed AVL shards, so
 /// the key→shard map is transparent to the checks.
@@ -145,71 +144,17 @@ pub fn run_chaos_store(spec: &StoreChaosSpec, plan: FaultPlan) -> StoreChaosRepo
     // ---- phase 1: storm under the armed plan ----
     let quiet = spec.quiet.then(silence_injected_panics);
     let session = activate(plan);
-
-    let ops_completed = AtomicU64::new(0);
-    let injected_panics = AtomicU64::new(0);
-    let aborted_ops = AtomicU64::new(0);
-    let rejected_writes = AtomicU64::new(0);
-
+    let counts = StormCounts::default();
     let mut seeder = Seeder::new(spec.seed);
     let seeds: Vec<u64> = (0..spec.threads).map(|_| seeder.next_u64()).collect();
-    let ticket = session.ticket();
-    std::thread::scope(|s| {
-        for &tseed in &seeds {
-            let store = &store;
-            let (ops_completed, injected_panics) = (&ops_completed, &injected_panics);
-            let (aborted_ops, rejected_writes) = (&aborted_ops, &rejected_writes);
-            s.spawn(move || {
-                ticket.join();
-                let mut rng = Rng::new(tseed);
-                for _ in 0..spec.ops_per_thread {
-                    let key = rng.next_below(spec.keys) as i64;
-                    let roll = rng.next_below(100);
-                    if roll >= 90 {
-                        // Short stitched scan; the lock-free read path must
-                        // survive the storm, poisoned shards included.
-                        let hi = (key + 7).min(spec.keys as i64 - 1);
-                        let mut last = i64::MIN;
-                        store.scan_range(key..=hi, |k| {
-                            assert!(k > last && (key..=hi).contains(&k), "scan contract");
-                            last = k;
-                        });
-                        ops_completed.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if roll < 40 {
-                            store.try_insert(key, rng.next_u64())
-                        } else if roll < 70 {
-                            store.try_remove(&key)
-                        } else {
-                            Ok(store.contains(&key))
-                        }
-                    }));
-                    match outcome {
-                        Ok(Ok(_)) => {
-                            ops_completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(Err(TreeError::Poisoned(_))) => {
-                            rejected_writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Ok(Err(_)) => {} // Recovering / AllocFailed: no effect
-                        Err(payload) => {
-                            let injected = take_injected_panic().is_some();
-                            let effect =
-                                panic_message(payload.as_ref()).and_then(effect_in_message);
-                            if !injected && effect.is_none() {
-                                resume_unwind(payload); // genuine bug
-                            }
-                            let ctr = if injected { injected_panics } else { aborted_ops };
-                            ctr.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            });
-        }
-    });
-
+    let storm = Storm {
+        keys: spec.keys,
+        ops_per_thread: spec.ops_per_thread,
+        mix: [40, 30, 10],
+        ticket: Some(session.ticket()),
+        recording: None,
+    };
+    storm.run(&store, &seeds, &counts);
     let fired = session.fired_counts();
     drop(session);
 
@@ -221,18 +166,9 @@ pub fn run_chaos_store(spec: &StoreChaosSpec, plan: FaultPlan) -> StoreChaosRepo
         "health must mirror the degraded mask"
     );
 
-    // Reads work over the WHOLE keyspace, poisoned shards included: the
-    // membership sweep agrees with the stitched ordered snapshot.
-    let snapshot = store.keys_in_order();
-    for k in 0..spec.keys as i64 {
-        assert_eq!(
-            store.contains(&k),
-            snapshot.binary_search(&k).is_ok(),
-            "contains({k}) disagrees with the stitched snapshot (mask {degraded_mask:#b})"
-        );
-    }
-    let full_scan = store.range_keys(0..=spec.keys as i64 - 1);
-    assert_eq!(full_scan, snapshot, "stitched full-range scan must match the snapshot");
+    // Reads work over the WHOLE keyspace, poisoned shards included: point
+    // reads and the stitched full-range scan agree with the snapshot.
+    assert_reads_coherent(&store, spec.keys, &format!("(mask {degraded_mask:#b})"));
 
     // Writes: accepted on every healthy shard, rejected on every poisoned
     // one — the blast radius is exactly the mask.
@@ -254,51 +190,26 @@ pub fn run_chaos_store(spec: &StoreChaosSpec, plan: FaultPlan) -> StoreChaosRepo
 
     // ---- phase 3: online recovery ----
     let recovery = if degraded_mask != 0 {
+        // A writer on a healthy shard is never turned away by a
+        // neighbour's quarantine — the per-shard recovery claim.
         let healthy = (0..spec.shards).find(|i| degraded_mask & (1 << i) == 0);
-        let done = AtomicBool::new(false);
-        let mut outcome = None;
-        std::thread::scope(|s| {
-            let recoverer = s.spawn(|| {
-                let r = store.try_recover();
-                done.store(true, Ordering::Release);
-                r
-            });
-            // Lock-free reads sweep the whole keyspace throughout.
-            let store_ref = &store;
-            let done_ref = &done;
-            s.spawn(move || {
-                while !done_ref.load(Ordering::Acquire) {
-                    for k in (0..spec.keys as i64).step_by(7) {
-                        let _ = store_ref.contains(&k);
-                    }
+        let sweep = (0..spec.keys as i64).step_by(7);
+        let (outcome, ()) = recover_under_load(&store, sweep, |done| {
+            let Some(h) = healthy else { return };
+            let k = probe_key(spec, h);
+            while !done.load(Ordering::Acquire) {
+                match store.try_insert(k, 1) {
+                    Ok(true) => assert_eq!(
+                        store.try_remove(&k),
+                        Ok(true),
+                        "healthy-shard probe cleanup mid-recovery"
+                    ),
+                    Ok(false) => {}
+                    Err(e) => panic!("healthy shard {h} turned a writer away mid-recovery: {e}"),
                 }
-            });
-            // A writer on a healthy shard is never turned away by a
-            // neighbour's quarantine — the per-shard recovery claim.
-            if let Some(h) = healthy {
-                let k = probe_key(spec, h);
-                s.spawn(move || {
-                    while !done_ref.load(Ordering::Acquire) {
-                        match store_ref.try_insert(k, 1) {
-                            Ok(true) => assert_eq!(
-                                store_ref.try_remove(&k),
-                                Ok(true),
-                                "healthy-shard probe cleanup mid-recovery"
-                            ),
-                            Ok(false) => {}
-                            Err(e) => panic!(
-                                "healthy shard {h} turned a writer away mid-recovery: {e}"
-                            ),
-                        }
-                    }
-                });
             }
-            outcome = Some(recoverer.join().expect("recoverer must not panic"));
         });
-        let report = outcome
-            .expect("recoverer joined")
-            .unwrap_or_else(|e| panic!("store recovery failed: {e:?}"));
-        Some(report)
+        Some(outcome.unwrap_or_else(|e| panic!("store recovery failed: {e:?}")))
     } else {
         assert!(
             matches!(store.try_recover(), Err(RecoverError::NotPoisoned)),
@@ -326,10 +237,10 @@ pub fn run_chaos_store(spec: &StoreChaosSpec, plan: FaultPlan) -> StoreChaosRepo
     }
 
     StoreChaosReport {
-        ops_completed: ops_completed.into_inner(),
-        injected_panics: injected_panics.into_inner(),
-        aborted_ops: aborted_ops.into_inner(),
-        rejected_writes: rejected_writes.into_inner(),
+        ops_completed: counts.ops_completed.into_inner(),
+        injected_panics: counts.injected_panics.into_inner(),
+        aborted_ops: counts.aborted_ops.into_inner(),
+        rejected_writes: counts.rejected_writes.into_inner(),
         degraded_mask,
         recovery,
         generation,

@@ -1,39 +1,17 @@
-//! Seeded chaos-harness integration tests (require `--features failpoints`
-//! from the workspace root, so the dev-dependency `lo-core` is built with
-//! fault injection compiled in).
+//! Seeded chaos-harness integration tests (require `--features failpoints`,
+//! which arms fault injection in `lo-core`).
 
 #![cfg(feature = "failpoints")]
 
-use lo_check::fail::{activate, FailPoint, FaultAction, FaultPlan, FaultRule};
-use lo_core::{LoAvlMap, LoPeAvlMap, TreeError};
+use lo_check::fail::{FailPoint, FaultAction, FaultPlan, FaultRule};
+use lo_core::{LoAvlMap, LoPeAvlMap};
 use lo_workload::{run_chaos, ChaosSpec};
-
-/// `lo-core`'s failpoints feature is unified in from the workspace root;
-/// a bare `cargo test -p lo-workload --features failpoints` builds a
-/// no-op `lo-core`. Detect that and skip rather than fail.
-fn injection_compiled_in() -> bool {
-    let session = activate(FaultPlan::new(0).fail_at(FailPoint::ArenaAlloc, 1));
-    let probe: LoAvlMap<i64, u64> = LoAvlMap::new();
-    let r = probe.try_insert(1, 1);
-    drop(session);
-    r == Err(TreeError::AllocFailed)
-}
-
-macro_rules! require_injection {
-    () => {
-        if !injection_compiled_in() {
-            eprintln!("skipping: lo-core built without its failpoints feature");
-            return;
-        }
-    };
-}
 
 /// A fixed-seed storm arming a panic at every write-path window; the
 /// run must end poisoned with readers coherent (asserted inside
 /// `run_chaos`) and exactly one injected death.
 #[test]
 fn storm_with_panics_at_each_window_stays_coherent() {
-    require_injection!();
     for point in [
         FailPoint::InsertOrderingLinked,
         FailPoint::RemoveSuccTreeWindow,
@@ -64,7 +42,6 @@ fn storm_with_panics_at_each_window_stays_coherent() {
 /// one-shot panic reliably lands.
 #[test]
 fn pe_storm_dies_at_pe_after_mark() {
-    require_injection!();
     let map = LoPeAvlMap::new();
     let plan = FaultPlan::new(7).panic_at(FailPoint::PeAfterMark);
     let spec = ChaosSpec { threads: 4, ops_per_thread: 400, initial: 0xFFFF, ..ChaosSpec::new(7) };
@@ -82,7 +59,6 @@ fn pe_storm_dies_at_pe_after_mark() {
 /// interleaving produces is up to the scheduler.)
 #[test]
 fn same_seed_same_faults_single_threaded() {
-    require_injection!();
     let run = |seed: u64| {
         let map = LoAvlMap::new();
         let plan = FaultPlan::new(seed)
@@ -105,7 +81,6 @@ fn same_seed_same_faults_single_threaded() {
 /// linearizability check (asserted inside `run_chaos`).
 #[test]
 fn interrupted_history_is_linearizable() {
-    require_injection!();
     let map = LoAvlMap::new();
     let plan = FaultPlan::new(99)
         .with(FailPoint::RemoveAfterMark, FaultRule::once(FaultAction::Panic).skip(1));
@@ -128,7 +103,6 @@ fn interrupted_history_is_linearizable() {
 /// rejections must leave the tree healthy and every failure retryable.
 #[test]
 fn alloc_exhaustion_is_survivable() {
-    require_injection!();
     let map = LoAvlMap::new();
     let plan = FaultPlan::new(5).with(
         FailPoint::ArenaAlloc,
@@ -147,7 +121,6 @@ fn alloc_exhaustion_is_survivable() {
 #[cfg(feature = "metrics")]
 #[test]
 fn killed_writer_round_produces_post_mortem_dump() {
-    require_injection!();
     lo_metrics::set_recording(true);
     let map = LoAvlMap::new();
     let plan = FaultPlan::new(9).panic_at(FailPoint::RemoveAfterMark);
@@ -171,7 +144,7 @@ fn killed_writer_round_produces_post_mortem_dump() {
     // The latch is one-shot per poisoning: a second take yields nothing.
     // Hold a fault-free session for the check, so a concurrent test's
     // round cannot arm and poison in between.
-    let _exclusive = activate(FaultPlan::new(0));
+    let _exclusive = lo_check::fail::activate(FaultPlan::new(0));
     assert_eq!(lo_metrics::flight::take_post_mortem(), None);
 }
 
@@ -183,7 +156,6 @@ fn killed_writer_round_produces_post_mortem_dump() {
 /// checked against the ordered snapshot of the poisoned tree).
 #[test]
 fn scans_survive_poisoning() {
-    require_injection!();
     let map = LoAvlMap::new();
     let plan = FaultPlan::new(5).panic_at(FailPoint::RemoveAfterMark);
     let spec = ChaosSpec {

@@ -1,6 +1,5 @@
-//! Kill→recover→resume integration rounds (require `--features failpoints`
-//! from the workspace root, so the dev-dependency `lo-core` is built with
-//! fault injection compiled in).
+//! Kill→recover→resume integration rounds (require `--features failpoints`,
+//! which arms fault injection in `lo-core`).
 //!
 //! Every round runs [`lo_workload::run_chaos_recovery`]: a recorded storm
 //! with a one-shot panic armed at one write-path window, online recovery
@@ -17,27 +16,7 @@ use lo_api::PoisonCause;
 use lo_core::{LoAvlMap, LoPeAvlMap, TreeError};
 use lo_workload::{run_chaos_recovery, RecoveryRoundReport, RecoverySpec};
 
-use lo_check::fail::{activate, FailPoint, FaultPlan};
-
-/// `lo-core`'s failpoints feature is unified in from the workspace root;
-/// a bare `cargo test -p lo-workload --features failpoints` builds a
-/// no-op `lo-core`. Detect that and skip rather than fail.
-fn injection_compiled_in() -> bool {
-    let session = activate(FaultPlan::new(0).fail_at(FailPoint::ArenaAlloc, 1));
-    let probe: LoAvlMap<i64, u64> = LoAvlMap::new();
-    let r = probe.try_insert(1, 1);
-    drop(session);
-    r == Err(TreeError::AllocFailed)
-}
-
-macro_rules! require_injection {
-    () => {
-        if !injection_compiled_in() {
-            eprintln!("skipping: lo-core built without its failpoints feature");
-            return;
-        }
-    };
-}
+use lo_check::fail::{FailPoint, FaultPlan};
 
 /// One kill→recover→resume round with a one-shot panic at `window`. The
 /// PE-only window runs on the partially-external variant; everything else
@@ -72,7 +51,6 @@ const RELIABLE: [FailPoint; 5] = [
 /// recovery report is non-empty, and the reliably-crossed windows did die.
 #[test]
 fn kill_recover_resume_across_all_windows() {
-    require_injection!();
     let mut killed = 0;
     for (i, window) in FailPoint::ALL.into_iter().enumerate() {
         let report = round(window, 0xC0FFEE + i as u64);
@@ -117,7 +95,6 @@ fn kill_recover_resume_across_all_windows() {
 /// state (the harness reads its initial mask off the map).
 #[test]
 fn recovered_map_survives_a_second_kill() {
-    require_injection!();
     let map = LoAvlMap::new();
     let first = run_chaos_recovery(
         &map,
@@ -142,7 +119,6 @@ fn recovered_map_survives_a_second_kill() {
 /// those rejections leave no trace in the (linearizable) history.
 #[test]
 fn post_death_writers_are_rejected_then_resumed() {
-    require_injection!();
     let report = round(FailPoint::RemoveAfterMark, 7);
     assert!(report.killed());
     // Whether any storm thread raced past the death is scheduling-luck,

@@ -1,27 +1,13 @@
-//! Integration rounds for the sharded store (ISSUE 10): blast-radius
+//! Integration rounds for the sharded store: blast-radius
 //! chaos with an armed fault plan, and WGL linearizability evidence for
 //! the flat-combining batched frontend.
 
 use lo_api::CheckInvariants;
 use lo_check::fail::FaultPlan;
 #[cfg(feature = "failpoints")]
-use lo_check::fail::{activate, FailPoint};
-#[cfg(feature = "failpoints")]
-use lo_core::TreeError;
+use lo_check::fail::FailPoint;
 use lo_store::BatchedStore;
 use lo_workload::{run_chaos, run_chaos_store, ChaosSpec, StoreChaosSpec};
-
-/// Whether `lo-core` was actually built with its failpoints feature (the
-/// workspace root unifies it in; a bare `-p lo-workload --features
-/// failpoints` build arms nothing). Probe, don't assume.
-#[cfg(feature = "failpoints")]
-fn injection_compiled_in() -> bool {
-    let session = activate(FaultPlan::new(0).fail_at(FailPoint::ArenaAlloc, 1));
-    let probe: lo_core::LoAvlMap<i64, u64> = lo_core::LoAvlMap::new();
-    let r = probe.try_insert(1, 1);
-    drop(session);
-    r == Err(TreeError::AllocFailed)
-}
 
 /// The armed round: a one-shot writer death lands on exactly one shard;
 /// the harness itself asserts degraded service on the others, online
@@ -30,10 +16,6 @@ fn injection_compiled_in() -> bool {
 #[cfg(feature = "failpoints")]
 #[test]
 fn poisoned_shard_keeps_its_blast_radius() {
-    if !injection_compiled_in() {
-        eprintln!("skipping: lo-core built without its failpoints feature");
-        return;
-    }
     let spec = StoreChaosSpec::new(42);
     let plan = FaultPlan::new(42).panic_at(FailPoint::RemoveAfterMark);
     let report = run_chaos_store(&spec, plan);
@@ -57,10 +39,6 @@ fn poisoned_shard_keeps_its_blast_radius() {
 #[cfg(feature = "failpoints")]
 #[test]
 fn armed_store_rounds_always_end_writable() {
-    if !injection_compiled_in() {
-        eprintln!("skipping: lo-core built without its failpoints feature");
-        return;
-    }
     for seed in [7, 1234] {
         let spec = StoreChaosSpec { threads: 3, ops_per_thread: 200, ..StoreChaosSpec::new(seed) };
         let plan = FaultPlan::new(seed).panic_at(FailPoint::InsertOrderingLinked);

@@ -10,13 +10,11 @@
 //! ```
 //!
 //! Without `--features failpoints` the failpoint call sites are compiled
-//! out; the example detects that, skips the targeted kill scenarios, and
-//! still runs the mixed-workload rounds (which then observe zero faults) —
-//! so the same binary doubles as the no-op smoke test for default builds.
+//! out; the example then skips the targeted kill scenarios and still runs
+//! the mixed-workload rounds (which observe zero faults) — so the same
+//! binary doubles as the no-op smoke test for default builds.
 
-use lo_check::fail::{
-    activate, effect_in_message, panic_message, take_injected_panic, FailPoint, FaultPlan,
-};
+use lo_check::fail::{activate, kill_at, FailPoint, FaultPlan};
 use lo_trees::workload::{run_chaos, ChaosSpec};
 use lo_trees::{
     FallibleMap, LoAvlMap, LoBstMap, LoPeBstMap, PoisonCause, TreeError,
@@ -27,50 +25,17 @@ fn seed() -> u64 {
     std::env::var("LO_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0xC0FFEE)
 }
 
-/// Probe whether this build actually injects faults (i.e. `lo-core` was
-/// compiled with its `failpoints` feature).
-fn injection_compiled_in() -> bool {
-    let session = activate(FaultPlan::new(0).fail_at(FailPoint::ArenaAlloc, 1));
-    let probe = LoAvlMap::new();
-    let r = probe.try_insert(1i64, 1u64);
-    drop(session);
-    match r {
-        Err(TreeError::AllocFailed) => true,
-        Ok(true) => false,
-        other => panic!("unexpected probe outcome {other:?}"),
-    }
-}
-
-/// Runs `op` on a fresh scenario under a one-shot panic plan at `point`,
-/// reporting how the interrupted operation was classified.
-fn kill_at<M: FallibleMap<i64, u64>>(
-    point: FailPoint,
-    map: &M,
-    op: impl FnOnce() -> Result<bool, TreeError>,
-) -> bool {
-    let session = activate(FaultPlan::new(seed()).panic_at(point));
-    let outcome = catch_unwind(AssertUnwindSafe(op));
-    let fired = session.fired();
-    drop(session);
-
-    let payload = outcome.expect_err("the armed failpoint must kill the writer");
-    assert_eq!(fired, 1, "exactly one injection expected");
-    assert_eq!(take_injected_panic(), Some(point));
-    let msg = panic_message(payload.as_ref()).expect("injected panics carry a message");
-    let linearized = effect_in_message(msg).expect("injected panics carry an effect marker");
-
-    // The dead writer must have poisoned the tree with its failpoint as
-    // the cause, and the tree must reject writers from now on.
+/// The dead writer must have poisoned the tree with its failpoint as the
+/// cause, and the tree must reject writers from now on.
+fn assert_poisoned_by<M: FallibleMap<i64, u64>>(map: &M, point: FailPoint, linearized: bool) {
     let err = map.poisoned().expect("writer death must poison the tree");
     assert_eq!(err, TreeError::Poisoned(PoisonCause::Failpoint(point.name())));
     assert!(matches!(map.try_insert(99, 0), Err(TreeError::Poisoned(_))));
-
     println!(
         "  kill @ {:<24} -> op {}, tree poisoned, writers rejected",
         point.name(),
         if linearized { "took effect" } else { "had no effect" },
     );
-    linearized
 }
 
 fn targeted_kills() {
@@ -79,7 +44,12 @@ fn targeted_kills() {
     // Insert, after the ordering-layout linearization point but before the
     // node is linked into the tree layout: the key IS in the set.
     let m = LoAvlMap::new();
-    assert!(kill_at(FailPoint::InsertOrderingLinked, &m, || m.try_insert(5, 50)));
+    let point = FailPoint::InsertOrderingLinked;
+    let linearized = kill_at(point, || {
+        let _ = m.try_insert(5, 50);
+    });
+    assert_poisoned_by(&m, point, linearized);
+    assert!(linearized);
     assert!(m.contains(&5), "linearized insert is visible through the ordering layout");
 
     // Remove, between succ-lock and tree-lock acquisition: before the
@@ -88,7 +58,12 @@ fn targeted_kills() {
     for k in [1i64, 2, 3] {
         m.try_insert(k, 0).unwrap();
     }
-    assert!(!kill_at(FailPoint::RemoveSuccTreeWindow, &m, || m.try_remove(&2)));
+    let point = FailPoint::RemoveSuccTreeWindow;
+    let linearized = kill_at(point, || {
+        let _ = m.try_remove(&2);
+    });
+    assert_poisoned_by(&m, point, linearized);
+    assert!(!linearized);
     assert!(m.contains(&2), "unlinearized remove must leave the key present");
 
     // Remove, after the mark store (linearization point) but before the
@@ -98,7 +73,12 @@ fn targeted_kills() {
     for k in [1i64, 2, 3] {
         m.try_insert(k, 0).unwrap();
     }
-    assert!(kill_at(FailPoint::RemoveAfterMark, &m, || m.try_remove(&2)));
+    let point = FailPoint::RemoveAfterMark;
+    let linearized = kill_at(point, || {
+        let _ = m.try_remove(&2);
+    });
+    assert_poisoned_by(&m, point, linearized);
+    assert!(linearized);
     assert!(!m.contains(&2), "linearized remove is visible despite the stranded layout");
     assert!(m.contains(&1) && m.contains(&3), "neighbors unaffected");
 
@@ -108,37 +88,30 @@ fn targeted_kills() {
     for k in [2i64, 1, 3] {
         m.try_insert(k, 0).unwrap();
     }
-    assert!(kill_at(FailPoint::RemoveMidRelocation, &m, || m.try_remove(&2)));
+    let point = FailPoint::RemoveMidRelocation;
+    let linearized = kill_at(point, || {
+        let _ = m.try_remove(&2);
+    });
+    assert_poisoned_by(&m, point, linearized);
+    assert!(linearized);
     assert!(!m.contains(&2));
     assert!(m.contains(&1) && m.contains(&3), "relocated successor still found");
 
     // Rotation, after the child pointers are rewired but before the height
     // stores: the triggering insert had already linearized.
     let m = LoAvlMap::new();
-    let outcome = {
-        let session = activate(FaultPlan::new(seed()).panic_at(FailPoint::RotateMid));
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            for k in [1i64, 2, 3] {
-                // The third insert triggers the first rotation.
-                m.try_insert(k, 0).unwrap();
-            }
-        }));
-        assert_eq!(session.fired(), 1);
-        r
-    };
-    assert!(outcome.is_err(), "rotation failpoint must kill the inserter");
-    assert_eq!(take_injected_panic(), Some(FailPoint::RotateMid));
+    let point = FailPoint::RotateMid;
+    let linearized = kill_at(point, || {
+        for k in [1i64, 2, 3] {
+            // The third insert triggers the first rotation.
+            m.try_insert(k, 0).unwrap();
+        }
+    });
+    assert_poisoned_by(&m, point, linearized);
+    assert!(linearized);
     for k in [1i64, 2, 3] {
         assert!(m.contains(&k), "all inserted keys visible mid-rotation");
     }
-    assert_eq!(
-        m.poisoned(),
-        Some(TreeError::Poisoned(PoisonCause::Failpoint(FailPoint::RotateMid.name())))
-    );
-    println!(
-        "  kill @ {:<24} -> op took effect, tree poisoned, writers rejected",
-        FailPoint::RotateMid.name()
-    );
 
     // Partially-external remove, after the mark but before the physical
     // splice: same observable outcome as `remove-after-mark`.
@@ -146,7 +119,12 @@ fn targeted_kills() {
     for k in [1i64, 2] {
         m.try_insert(k, 0).unwrap();
     }
-    assert!(kill_at(FailPoint::PeAfterMark, &m, || m.try_remove(&2)));
+    let point = FailPoint::PeAfterMark;
+    let linearized = kill_at(point, || {
+        let _ = m.try_remove(&2);
+    });
+    assert_poisoned_by(&m, point, linearized);
+    assert!(linearized);
     assert!(!m.contains(&2) && m.contains(&1));
 }
 
@@ -277,7 +255,7 @@ fn main() {
     // Record the hot-path flight recorder for the whole demo (a no-op
     // without `--features metrics`), so a poisoning round dumps real spans.
     lo_trees::metrics::set_recording(true);
-    let injecting = injection_compiled_in();
+    let injecting = cfg!(feature = "failpoints");
     println!(
         "fault injection: {}",
         if injecting { "compiled in (--features failpoints)" } else { "compiled out (no-op build)" }
