@@ -1,49 +1,59 @@
-//! Slab arena for tree nodes: cache-line-aligned, chunked, epoch-friendly.
+//! Slab arena for tree nodes: cache-line-aligned slots in 2 MiB chunks,
+//! epoch-friendly.
 //!
 //! One `Box` per insert puts every node at the allocator's mercy — nodes
 //! that are adjacent in the tree end up scattered across the heap, and the
 //! malloc/free pair shows up directly on the update path. The arena instead
-//! hands out slots from 64-slot chunks whose base is aligned to the chunk
-//! size (a power of two), giving three properties the hot paths want:
+//! hands out slots from chunks that are each one 2 MiB region, mapped from
+//! the OS and aligned to its own size, giving four properties the hot paths
+//! want:
 //!
 //! 1. **Spatial locality**: nodes allocated together sit in the same few
 //!    pages, so tree descents touch fewer TLB entries and lookups of
 //!    recently-inserted keys hit warmer lines.
-//! 2. **O(1) slot recycling**: a freed slot goes on its chunk's free stack
+//! 2. **Huge pages for large trees**: a chunk mapped while the arena
+//!    already holds another is advised `MADV_HUGEPAGE`, so a tree past one
+//!    chunk (16,384 `Node<u64, u64>`s) keeps its nodes on 2 MiB pages and a
+//!    descent below the cached top levels stops missing the TLB at every
+//!    step. A tree's first chunk is not advised: never-used slots are
+//!    handed out in address order, so a small tree touches only the 4 KiB
+//!    pages it fills. The advice is a hint; where the host's transparent
+//!    huge pages are off, chunks stay on 4 KiB pages.
+//! 3. **O(1) slot recycling**: a freed slot goes on its chunk's free stack
 //!    and is handed out LIFO — the next insert reuses memory that is very
 //!    likely still in cache.
-//! 3. **Cheap pointer→chunk resolution**: because a chunk's base address is
-//!    aligned to `CHUNK_ALIGN ≥ CHUNK_BYTES`, masking a slot address with
-//!    `!(CHUNK_ALIGN − 1)` yields the chunk base, which indexes a small
+//! 4. **Cheap pointer→chunk resolution**: a chunk's base address is aligned
+//!    to `CHUNK_BYTES` (a power of two), so masking a slot address with
+//!    `!(CHUNK_BYTES − 1)` yields the chunk base, which indexes a small
 //!    side table. No per-slot headers — slots stay exactly `SLOT_SIZE`.
 //!
 //! # Lifetimes under epoch reclamation
 //!
-//! The arena **never frees a chunk that still contains a live slot**, and a
-//! slot is only recycled through [`Arena::retire`], which the tree invokes
-//! via `Guard::defer_unchecked` — i.e. strictly *after* the grace period in
-//! which some lock-free reader might still dereference the node. The safety
-//! argument for readers is therefore the same as for a `Box` freed through
-//! `Guard::defer_destroy`:
+//! The arena **never unmaps a chunk that still contains a live slot**, and
+//! a slot is only recycled through [`Arena::retire`], which the tree
+//! invokes via `Guard::defer_unchecked` — i.e. strictly *after* the grace
+//! period in which some lock-free reader might still dereference the node.
+//! The safety argument for readers is therefore the same as for a `Box`
+//! freed through `Guard::defer_destroy`:
 //!
 //! * a pointer loaded under a guard stays valid until the guard drops,
-//!   because neither `drop_in_place` (part of `retire`) nor chunk
-//!   deallocation can run before the epoch advances past every such guard;
+//!   because neither `drop_in_place` (part of `retire`) nor unmapping the
+//!   chunk can run before the epoch advances past every such guard;
 //! * recycling a slot *within* a chunk re-initializes it fully before the
 //!   new node is published, so a reader can never observe a half-built node
 //!   (publication is the same `Release` store as before).
 //!
-//! An empty chunk is not freed immediately: one empty chunk is kept as
+//! An empty chunk is not unmapped immediately: one empty chunk is kept as
 //! hysteresis so a workload oscillating around a chunk boundary does not
-//! alternate `mmap`/`munmap` (the same reasoning as `COLLECT_EVERY` batching
-//! in `lo-reclaim`).
+//! map and unmap a 2 MiB region on every crossing (the same reasoning as
+//! `COLLECT_EVERY` batching in `lo-reclaim`).
 //!
 //! Every tree allocates its nodes from a per-tree [`Arena`]. `Box`-per-node
 //! allocation loses to it on every gated storebench metric; on scan-mixed
 //! it needs about 65% more bytes per key (DESIGN.md §12.3).
 
 use crate::sync::Mutex;
-use std::alloc::{alloc as raw_alloc, dealloc, handle_alloc_error, Layout};
+use std::alloc::{handle_alloc_error, Layout};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of};
@@ -51,23 +61,47 @@ use std::ptr::NonNull;
 
 use lo_metrics::{record, Event};
 
-/// Slots per chunk. 64 nodes × 2 cache lines ≈ 8 KiB per chunk — two pages,
-/// small enough that partially-used chunks waste little, large enough that
-/// chunk turnover is rare.
-pub const SLOTS: usize = 64;
+/// One huge page on x86-64 and aarch64 (with 4 KiB base pages): the size
+/// of every chunk whose slot fits in it.
+const REGION_BYTES: usize = 2 << 20;
 
-/// Empty chunks kept around instead of freed (hysteresis; see module docs).
+/// Empty chunks kept around instead of unmapped (hysteresis; see module
+/// docs).
 const KEEP_EMPTY: usize = 1;
 
-/// One chunk: a raw aligned block plus its free-slot stack.
+/// One chunk: a region of `CHUNK_BYTES` plus its slot bookkeeping.
 struct Chunk<T> {
     mem: NonNull<u8>,
-    /// Free slot indices, LIFO so recycled slots are reused while warm.
+    /// Slots below this index have been handed out at least once; the rest
+    /// have never been touched, and are handed out in address order.
+    bump: usize,
+    /// Recycled slot indices, LIFO so recycled slots are reused while warm.
     free: Vec<u16>,
+    /// One bit per slot, set while the slot holds a live value.
+    live: Box<[u64]>,
     /// This chunk's position in `State::nonfull` (`usize::MAX` when full),
     /// maintained so removal is O(1) `swap_remove`.
     pos_in_nonfull: usize,
     _marker: PhantomData<T>,
+}
+
+impl<T> Chunk<T> {
+    fn is_live(&self, slot: usize) -> bool {
+        self.live[slot / 64] & (1 << (slot % 64)) != 0
+    }
+
+    fn flip_live(&mut self, slot: usize) {
+        self.live[slot / 64] ^= 1 << (slot % 64);
+    }
+
+    /// No slot is live: every slot handed out so far is back on `free`.
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.bump
+    }
+
+    fn is_full(&self) -> bool {
+        self.free.is_empty() && self.bump == Arena::<T>::SLOTS_PER_CHUNK
+    }
 }
 
 struct State<T> {
@@ -115,15 +149,23 @@ impl<T> Arena<T> {
         assert!(size_of::<T>() > 0, "arena does not support zero-sized types");
         size_of::<T>().div_ceil(Self::SLOT_ALIGN) * Self::SLOT_ALIGN
     };
-    const CHUNK_BYTES: usize = Self::SLOT_SIZE * SLOTS;
-    /// Chunk alignment = chunk size rounded to a power of two, so that
-    /// masking any slot address yields the chunk base.
-    const CHUNK_ALIGN: usize = Self::CHUNK_BYTES.next_power_of_two();
-
-    fn chunk_layout() -> Layout {
-        Layout::from_size_align(Self::CHUNK_BYTES, Self::CHUNK_ALIGN)
-            .expect("chunk layout is valid by construction")
-    }
+    /// Chunk size and alignment: one 2 MiB region, or the slot rounded up
+    /// to a power of two for a slot that does not fit one.
+    const CHUNK_BYTES: usize = {
+        let fit = Self::SLOT_SIZE.next_power_of_two();
+        if fit > REGION_BYTES {
+            fit
+        } else {
+            REGION_BYTES
+        }
+    };
+    /// Slots per chunk: 16,384 for `Node<u64, u64>`, and at most 32,768
+    /// (`SLOT_SIZE ≥ 64`), so a slot index fits the free stack's `u16`.
+    pub(crate) const SLOTS_PER_CHUNK: usize = {
+        let n = Self::CHUNK_BYTES / Self::SLOT_SIZE;
+        assert!(n <= 1 << 15, "slot indices must fit u16");
+        n
+    };
 
     /// Creates an empty arena (no chunks until the first allocation).
     pub fn new() -> Self {
@@ -146,7 +188,10 @@ impl<T> Arena<T> {
     pub fn alloc(&self, value: T) -> NonNull<T> {
         match self.try_alloc(value) {
             Some(slot) => slot,
-            None => handle_alloc_error(Self::chunk_layout()),
+            None => handle_alloc_error(
+                Layout::from_size_align(Self::CHUNK_BYTES, Self::CHUNK_BYTES)
+                    .expect("a power-of-two chunk is a valid layout"),
+            ),
         }
     }
 
@@ -180,7 +225,7 @@ impl<T> Arena<T> {
         self.state.lock().live
     }
 
-    /// Number of chunks currently allocated from the OS.
+    /// Number of chunks currently mapped from the OS.
     pub fn chunks(&self) -> usize {
         let st = self.state.lock();
         st.chunks.len() - st.vacant.len()
@@ -194,14 +239,22 @@ impl<T> Arena<T> {
         let ci = *st.nonfull.last().expect("grow guarantees a nonfull chunk");
         let (slot_ptr, became_full, was_empty) = {
             let chunk = st.chunks[ci].as_mut().expect("nonfull index is live");
-            let was_empty = chunk.free.len() == SLOTS;
-            let slot = chunk.free.pop().expect("nonfull chunk has a free slot") as usize;
-            let became_full = chunk.free.is_empty();
+            let was_empty = chunk.is_empty();
+            let slot = match chunk.free.pop() {
+                Some(slot) => slot as usize,
+                None => {
+                    chunk.bump += 1;
+                    chunk.bump - 1
+                }
+            };
+            debug_assert!(!chunk.is_live(slot), "arena slot handed out twice");
+            chunk.flip_live(slot);
+            let became_full = chunk.is_full();
             if became_full {
                 chunk.pos_in_nonfull = usize::MAX;
             }
-            // SAFETY: [inv:arena-slot] `slot < SLOTS`, so the offset stays inside the
-            // chunk allocation; the resulting pointer inherits `mem`'s provenance.
+            // SAFETY: [inv:arena-slot] `slot < SLOTS_PER_CHUNK`, so the offset stays
+            // inside the chunk; the resulting pointer inherits `mem`'s provenance.
             let p = unsafe { chunk.mem.as_ptr().add(slot * Self::SLOT_SIZE) };
             (p.cast::<T>(), became_full, was_empty)
         };
@@ -216,12 +269,10 @@ impl<T> Arena<T> {
         Some(NonNull::new(slot_ptr).expect("chunk memory is non-null"))
     }
 
-    /// Allocates one chunk from the OS; `false` if the allocator refused.
+    /// Maps one chunk from the OS; `false` if the OS refused.
     fn try_grow(st: &mut State<T>) -> bool {
-        let layout = Self::chunk_layout();
-        // SAFETY: [inv:arena-slot] `layout` has non-zero size (SLOT_SIZE ≥ 64).
-        let mem = unsafe { raw_alloc(layout) };
-        let Some(mem) = NonNull::new(mem) else { return false };
+        let huge = st.chunks.len() > st.vacant.len();
+        let Some(mem) = region::map(Self::CHUNK_BYTES, huge) else { return false };
         let ci = match st.vacant.pop() {
             Some(i) => i,
             None => {
@@ -232,8 +283,9 @@ impl<T> Arena<T> {
         st.by_base.insert(mem.as_ptr().addr(), ci);
         let chunk = Chunk {
             mem,
-            // Reversed so slots are handed out in address order (pop = 0).
-            free: (0..SLOTS as u16).rev().collect(),
+            bump: 0,
+            free: Vec::new(),
+            live: vec![0; Self::SLOTS_PER_CHUNK.div_ceil(64)].into_boxed_slice(),
             pos_in_nonfull: st.nonfull.len(),
             _marker: PhantomData,
         };
@@ -246,20 +298,18 @@ impl<T> Arena<T> {
 
     fn recycle(&self, ptr: NonNull<T>) {
         let addr = ptr.as_ptr().addr();
-        let base = addr & !(Self::CHUNK_ALIGN - 1);
+        let base = addr & !(Self::CHUNK_BYTES - 1);
         let mut st = self.state.lock();
         let ci = *st.by_base.get(&base).expect("retired pointer does not belong to this arena");
         let (became_nonfull, now_empty) = {
             let chunk = st.chunks[ci].as_mut().expect("indexed chunk is live");
             let slot = (addr - base) / Self::SLOT_SIZE;
-            debug_assert!(slot < SLOTS, "slot index out of range");
-            debug_assert!(
-                !chunk.free.contains(&(slot as u16)),
-                "double retire of arena slot"
-            );
-            let became_nonfull = chunk.free.is_empty();
+            debug_assert!(slot < chunk.bump, "slot index out of range");
+            debug_assert!(chunk.is_live(slot), "double retire of arena slot");
+            chunk.flip_live(slot);
+            let became_nonfull = chunk.is_full();
             chunk.free.push(slot as u16);
-            (became_nonfull, chunk.free.len() == SLOTS)
+            (became_nonfull, chunk.is_empty())
         };
         st.live -= 1;
         if became_nonfull {
@@ -279,7 +329,7 @@ impl<T> Arena<T> {
     /// hysteresis threshold).
     fn release_chunk(st: &mut State<T>, ci: usize) {
         let chunk = st.chunks[ci].take().expect("released chunk is live");
-        debug_assert_eq!(chunk.free.len(), SLOTS, "releasing a non-empty chunk");
+        debug_assert!(chunk.is_empty(), "releasing a non-empty chunk");
         st.empty_chunks -= 1;
         st.by_base.remove(&chunk.mem.as_ptr().addr());
         let pos = chunk.pos_in_nonfull;
@@ -290,9 +340,9 @@ impl<T> Arena<T> {
             st.chunks[moved].as_mut().expect("moved chunk is live").pos_in_nonfull = pos;
         }
         st.vacant.push(ci);
-        // SAFETY: [inv:arena-slot] `mem` was allocated with exactly this layout and
-        // no slot is live (free list is full), so no pointer into it remains usable.
-        unsafe { dealloc(chunk.mem.as_ptr(), Self::chunk_layout()) };
+        // SAFETY: [inv:arena-region] `mem` is this arena's own `CHUNK_BYTES` mapping
+        // and no slot in it is live, so no pointer into it remains usable.
+        unsafe { region::unmap(chunk.mem, Self::CHUNK_BYTES) };
         record(Event::ArenaChunkFree);
     }
 }
@@ -307,14 +357,13 @@ impl<T> Drop for Arena<T> {
     fn drop(&mut self) {
         let st = self.state.get_mut();
         for chunk in st.chunks.iter_mut().flatten() {
-            let mut is_free = [false; SLOTS];
-            for &f in &chunk.free {
-                is_free[f as usize] = true;
-            }
-            for (slot, free) in is_free.iter().enumerate() {
-                if !free {
+            for (w, &word) in chunk.live.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
                     // SAFETY: [inv:unprotected-quiescent] `&mut self` — no concurrent users;
-                    // the slot is live (not on the free list) so it holds a valid value.
+                    // the slot's live bit is set, so it holds a valid value.
                     unsafe {
                         std::ptr::drop_in_place(
                             chunk.mem.as_ptr().add(slot * Self::SLOT_SIZE).cast::<T>(),
@@ -322,9 +371,116 @@ impl<T> Drop for Arena<T> {
                     }
                 }
             }
-            // SAFETY: [inv:arena-slot] allocated with this exact layout; all values dropped.
-            unsafe { dealloc(chunk.mem.as_ptr(), Self::chunk_layout()) };
+            // SAFETY: [inv:arena-region] the arena's own `CHUNK_BYTES` mapping; every
+            // live value in it was just dropped.
+            unsafe { region::unmap(chunk.mem, Self::CHUNK_BYTES) };
         }
+    }
+}
+
+/// Chunk memory on Linux: anonymous private mappings, so a chunk can be
+/// aligned to its own size without allocator padding and advised on its
+/// own.
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"), not(miri)))]
+mod region {
+    use std::ffi::{c_int, c_long, c_void};
+    use std::ptr::{self, NonNull};
+
+    const PROT_READ: c_int = 0x1;
+    const PROT_WRITE: c_int = 0x2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const MADV_HUGEPAGE: c_int = 14;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+
+    /// Maps `bytes` (a power of two, at least a page) aligned to `bytes`,
+    /// advised `MADV_HUGEPAGE` when `huge`; `None` if the OS refuses.
+    pub(super) fn map(bytes: usize, huge: bool) -> Option<NonNull<u8>> {
+        // Twice the size guarantees an aligned range inside; the unaligned
+        // head and tail are unmapped again.
+        let span = bytes.checked_mul(2)?;
+        // SAFETY: [inv:arena-region] a fresh anonymous private mapping at an address
+        // the kernel picks overlaps no memory Rust already owns.
+        let raw = unsafe {
+            mmap(ptr::null_mut(), span, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
+        };
+        if raw.addr() == usize::MAX {
+            return None; // MAP_FAILED
+        }
+        let raw = raw.cast::<u8>();
+        let head = raw.addr().next_multiple_of(bytes) - raw.addr();
+        // SAFETY: [inv:arena-region] `head < bytes`, so `base` and the `bytes`
+        // after it lie inside the `span` just mapped; the head and the tail
+        // (`bytes - head > 0`) are parts of that mapping which nothing references.
+        unsafe {
+            let base = raw.add(head);
+            if head > 0 {
+                munmap(raw.cast(), head);
+            }
+            munmap(base.add(bytes).cast(), bytes - head);
+            if huge {
+                // A hint: where the host's transparent huge pages are off, the
+                // chunk stays on base pages.
+                madvise(base.cast(), bytes, MADV_HUGEPAGE);
+            }
+            NonNull::new(base)
+        }
+    }
+
+    /// Unmaps a chunk.
+    ///
+    /// # Safety
+    /// `mem` came from [`map`] with the same `bytes`, and no pointer into
+    /// it is used afterwards.
+    pub(super) unsafe fn unmap(mem: NonNull<u8>, bytes: usize) {
+        // SAFETY: [inv:arena-region] per the contract, the caller's own mapping
+        // with no remaining users.
+        unsafe { munmap(mem.as_ptr().cast(), bytes) };
+    }
+}
+
+/// Chunk memory under Miri, which cannot run `mmap`, and on targets whose
+/// mapping constants are not declared above: the global allocator, with
+/// the chunk's size as its alignment. Nothing is advised.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64"),
+    not(miri)
+)))]
+mod region {
+    use std::alloc::{alloc, dealloc, Layout};
+    use std::ptr::NonNull;
+
+    fn layout(bytes: usize) -> Layout {
+        Layout::from_size_align(bytes, bytes).expect("a power-of-two chunk is a valid layout")
+    }
+
+    pub(super) fn map(bytes: usize, _huge: bool) -> Option<NonNull<u8>> {
+        // SAFETY: [inv:arena-region] the layout has non-zero size (a chunk is at
+        // least 2 MiB).
+        NonNull::new(unsafe { alloc(layout(bytes)) })
+    }
+
+    /// Frees a chunk.
+    ///
+    /// # Safety
+    /// `mem` came from [`map`] with the same `bytes`, and no pointer into
+    /// it is used afterwards.
+    pub(super) unsafe fn unmap(mem: NonNull<u8>, bytes: usize) {
+        // SAFETY: [inv:arena-region] allocated by `map` with this exact layout.
+        unsafe { dealloc(mem.as_ptr(), layout(bytes)) };
     }
 }
 
@@ -370,6 +526,18 @@ mod tests {
         Tracked { drops: Arc::clone(drops), payload }
     }
 
+    /// A value so wide that a chunk holds only a few dozen slots, which
+    /// keeps the chunk-boundary tests fast under Miri. Its stride (65,600
+    /// bytes) is not a power of two.
+    struct Wide<V> {
+        value: V,
+        _pad: [u8; 1 << 16],
+    }
+
+    fn wide<V>(value: V) -> Wide<V> {
+        Wide { value, _pad: [0; 1 << 16] }
+    }
+
     #[test]
     fn try_alloc_roundtrip() {
         let drops = Arc::new(AtomicUsize::new(0));
@@ -401,21 +569,24 @@ mod tests {
 
     #[test]
     fn slots_are_cache_line_aligned_and_disjoint() {
-        let arena: Arena<[u8; 72]> = Arena::new();
+        let arena: Arena<Wide<u8>> = Arena::new();
+        let per_chunk = Arena::<Wide<u8>>::SLOTS_PER_CHUNK;
         let mut ptrs = Vec::new();
-        for i in 0..SLOTS {
-            let p = arena.alloc([i as u8; 72]);
+        for i in 0..per_chunk {
+            let p = arena.alloc(wide(i as u8));
             assert_eq!(p.as_ptr().addr() % 64, 0, "slot not cache-line aligned");
             ptrs.push(p);
         }
-        assert_eq!(arena.chunks(), 1, "64 slots must fit one chunk");
+        assert_eq!(arena.chunks(), 1, "a chunk's worth of slots must fit one chunk");
         // Strides must not overlap: consecutive slots differ by SLOT_SIZE.
         let mut addrs: Vec<usize> = ptrs.iter().map(|p| p.as_ptr().addr()).collect();
         addrs.sort_unstable();
         for w in addrs.windows(2) {
-            assert!(w[1] - w[0] >= 72, "slots overlap");
+            assert!(w[1] - w[0] >= size_of::<Wide<u8>>(), "slots overlap");
         }
-        for p in ptrs {
+        for (i, p) in ptrs.into_iter().enumerate() {
+            // SAFETY: `p` is live and this test is the only accessor.
+            assert_eq!(unsafe { p.as_ref() }.value, i as u8, "a neighbour overwrote the slot");
             // SAFETY: each pointer is live and retired exactly once.
             unsafe { arena.retire(p) };
         }
@@ -438,36 +609,112 @@ mod tests {
     #[test]
     fn multi_chunk_growth_and_shrink_with_hysteresis() {
         let drops = Arc::new(AtomicUsize::new(0));
-        let arena: Arena<Tracked> = Arena::new();
-        const N: usize = 3 * SLOTS + 5; // forces 4 chunks
-        let ptrs: Vec<_> = (0..N).map(|i| arena.alloc(tracked(&drops, i as u64))).collect();
+        let arena: Arena<Wide<Tracked>> = Arena::new();
+        let n = 3 * Arena::<Wide<Tracked>>::SLOTS_PER_CHUNK + 5; // forces 4 chunks
+        let ptrs: Vec<_> = (0..n).map(|i| arena.alloc(wide(tracked(&drops, i as u64)))).collect();
         assert_eq!(arena.chunks(), 4);
-        assert_eq!(arena.live(), N);
+        assert_eq!(arena.live(), n);
         for p in ptrs {
             // SAFETY: each pointer is live and retired exactly once.
             unsafe { arena.retire(p) };
         }
-        assert_eq!(drops.load(Ordering::Relaxed), N);
+        assert_eq!(drops.load(Ordering::Relaxed), n);
         assert_eq!(arena.live(), 0);
-        // All chunks emptied; one is kept as hysteresis, the rest freed.
+        // All chunks emptied; one is kept as hysteresis, the rest unmapped.
         assert_eq!(arena.chunks(), KEEP_EMPTY, "empty chunks beyond hysteresis must be freed");
     }
 
     #[test]
     fn drop_frees_live_values_no_leak() {
         let drops = Arc::new(AtomicUsize::new(0));
+        let n = Arena::<Wide<Tracked>>::SLOTS_PER_CHUNK + 3;
         {
-            let arena: Arena<Tracked> = Arena::new();
-            for i in 0..(SLOTS + 3) {
-                let p = arena.alloc(tracked(&drops, i as u64));
-                if i % 2 == 0 {
-                    // SAFETY: live, no aliases.
-                    unsafe { arena.retire(p) };
+            let arena: Arena<Wide<Tracked>> = Arena::new();
+            let ptrs: Vec<_> =
+                (0..n).map(|i| arena.alloc(wide(tracked(&drops, i as u64)))).collect();
+            assert_eq!(arena.chunks(), 2, "the values must span two chunks");
+            for p in ptrs.into_iter().step_by(2) {
+                // SAFETY: live, no aliases.
+                unsafe { arena.retire(p) };
+            }
+            // Half the values, in both chunks, still live here; Arena::drop
+            // must free them.
+        }
+        assert_eq!(drops.load(Ordering::Relaxed), n, "leak or double free on drop");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "double retire of arena slot")]
+    fn double_retire_is_caught() {
+        let arena: Arena<u64> = Arena::new();
+        let keep = arena.alloc(1);
+        let p = arena.alloc(2);
+        // SAFETY: live, no aliases.
+        unsafe { arena.retire(p) };
+        // SAFETY: breaks `retire`'s contract on purpose; `u64` has no drop
+        // glue, so only the arena's bookkeeping sees the second retire.
+        unsafe { arena.retire(p) };
+        // Not reached; keeps `keep` live so the chunk stays mapped.
+        // SAFETY: live, no aliases.
+        unsafe { arena.retire(keep) };
+    }
+
+    /// The advice rule, read back from the kernel: a tree's first chunk is
+    /// not advised `MADV_HUGEPAGE`, its second is. This checks the advice,
+    /// not the backing, so it holds whatever the host's THP mode.
+    #[test]
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64"),
+        not(miri)
+    ))]
+    fn second_chunk_is_advised_huge_and_first_is_not() {
+        /// `VmFlags` of the `/proc/self/smaps` mapping that contains `addr`.
+        fn vm_flags(smaps: &str, addr: usize) -> Vec<String> {
+            let mut inside = false;
+            for line in smaps.lines() {
+                let range = line.split_whitespace().next().and_then(|r| r.split_once('-'));
+                if let Some((lo, hi)) = range {
+                    if let (Ok(lo), Ok(hi)) =
+                        (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                    {
+                        inside = (lo..hi).contains(&addr);
+                        continue;
+                    }
+                }
+                if let (true, Some(flags)) = (inside, line.strip_prefix("VmFlags:")) {
+                    return flags.split_whitespace().map(str::to_string).collect();
                 }
             }
-            // Half the values still live here; Arena::drop must free them.
+            panic!("no mapping in /proc/self/smaps contains {addr:#x}");
         }
-        assert_eq!(drops.load(Ordering::Relaxed), SLOTS + 3, "leak or double free on drop");
+
+        let arena: Arena<Wide<u8>> = Arena::new();
+        let per_chunk = Arena::<Wide<u8>>::SLOTS_PER_CHUNK;
+        let ptrs: Vec<_> = (0..=per_chunk).map(|i| arena.alloc(wide(i as u8))).collect();
+        assert_eq!(arena.chunks(), 2);
+        // Never-used slots go out in address order: the first slot of each
+        // chunk sits at its base.
+        let first = ptrs[0].as_ptr().addr();
+        let second = ptrs[per_chunk].as_ptr().addr();
+        let chunk_bytes = Arena::<Wide<u8>>::CHUNK_BYTES;
+        assert_eq!(first % chunk_bytes, 0, "first chunk base not aligned to its size");
+        assert_eq!(second % chunk_bytes, 0, "second chunk base not aligned to its size");
+
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
+        assert!(
+            !vm_flags(&smaps, first).iter().any(|f| f == "hg"),
+            "a tree's first chunk must stay on base pages"
+        );
+        assert!(
+            vm_flags(&smaps, second).iter().any(|f| f == "hg"),
+            "a chunk mapped beside another must be advised MADV_HUGEPAGE"
+        );
+        for p in ptrs {
+            // SAFETY: each pointer is live and retired exactly once.
+            unsafe { arena.retire(p) };
+        }
     }
 
     #[test]

@@ -143,7 +143,7 @@ events! {
     ReclaimAdvance => "reclaim-advance",
     /// Objects actually freed after their grace period (`lo-reclaim`).
     ReclaimFree => "reclaim-free",
-    /// The node arena allocated a fresh 64-slot chunk from the OS.
+    /// The node arena mapped a fresh chunk (one 2 MiB region) from the OS.
     ArenaChunkAlloc => "arena-chunk-alloc",
     /// The node arena returned a fully-empty chunk to the OS (beyond the
     /// one-chunk hysteresis).
