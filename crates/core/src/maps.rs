@@ -58,6 +58,12 @@ macro_rules! define_map {
             /// Insert-or-replace: maps `key` to `value` and returns the
             /// previous value, if any (`None` also when reviving a
             /// logically-removed zombie in the partially-external variants).
+            ///
+            /// A key's first value lives inside its node; a replacement is
+            /// boxed. The value a replacement displaces is dropped once no
+            /// pinned reader can hold it: a box after the epoch's grace
+            /// period, but the first value only when its node is freed,
+            /// after the key is removed or the map dropped.
             pub fn put(&self, key: K, value: V) -> Option<V>
             where
                 V: Clone,
@@ -221,7 +227,10 @@ macro_rules! define_map {
             /// Fallible [`Self::insert`]: rejects the write with
             /// [`TreeError::Poisoned`] after a writer death, or
             /// [`TreeError::AllocFailed`] (no effect, retryable) when node
-            /// allocation fails.
+            /// allocation fails. The node's arena slot, which also holds
+            /// the value, is an insert's only allocation; only reviving a
+            /// zombie (partially-external variants) boxes the value, and
+            /// that allocation aborts on OOM, as in [`Self::try_put`].
             pub fn try_insert(&self, key: K, value: V) -> Result<bool, TreeError> {
                 self.tree.try_insert(key, value)
             }
@@ -231,7 +240,9 @@ macro_rules! define_map {
                 self.tree.try_remove(key)
             }
 
-            /// Fallible [`Self::put`] (see [`Self::try_insert`]).
+            /// Fallible [`Self::put`] (see [`Self::try_insert`]). On a
+            /// present key it still boxes the replacement (see
+            /// [`Self::put`]), and that allocation aborts on OOM.
             pub fn try_put(&self, key: K, value: V) -> Result<Option<V>, TreeError>
             where
                 V: Clone,

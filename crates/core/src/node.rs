@@ -14,26 +14,42 @@
 //!            │ key          (Bound<K>; compared every step) │  hot: read
 //!            │ left, right  (layout descent, Algorithm 1)   │  path only —
 //!            │ succ, pred   (ordering chase, Algorithm 2)   │  writers dirty
-//!            │ value        (read by get)                   │  this line only
+//!            │ value        (boxed replacement, or null)    │  this line only
 //!            │ mark, zombie (liveness flags, read unlocked) │  at lin. points
 //! offset  64 ├──────────────────────────────────────────────┤
 //!            │ parent       (writers' upward walks only)    │  cold: dirtied
 //!            │ left/right height (AtomicI8; rebalancing)    │  by every lock
 //!            │ tree_lock, succ_lock                         │  acquisition &
-//!            └──────────────────────────────────────────────┘  height update
+//!            │ inline       (the first value; never written │  height update;
+//!            │               after publication)             │  a get hit reads
+//!            └──────────────────────────────────────────────┘  `inline` too
 //! ```
 //!
 //! For the benchmark configuration `Node<u64, u64>` the hot half is 58 bytes,
-//! and the compile-time assertions at the bottom of this file pin every hot
-//! field inside the first 64-byte line (and the whole node under two lines).
-//! Lock traffic (both `NodeLock`s), height churn from rebalancing, and
-//! `parent` rewrites from rotations all land on the cold line, so concurrent
-//! writers do not invalidate the line readers are chasing through.
+//! the inline value sits at offset 80 (112 with the `lockdep` feature's
+//! per-lock ledger ids), and the node is exactly two lines, so an arena
+//! chunk holds a fixed number of slots. The compile-time assertions below
+//! the struct pin every hot field inside the first 64-byte line and the
+//! inline value inside the second. Lock traffic (both `NodeLock`s), height
+//! churn from rebalancing, and `parent` rewrites from rotations all land on
+//! the cold line, so concurrent writers do not invalidate the line readers
+//! are chasing through.
+//!
+//! # Values
+//!
+//! A key node holds its first value in itself, in the cold line's unused
+//! bytes: inserting a key allocates one arena slot and nothing else, and a
+//! get hit reads its value from the slot it has just reached. While the
+//! `value` pointer is null, `inline` is the current value. A `put` on a
+//! present key, or a zombie revival, swaps a boxed replacement into `value`,
+//! because a pinned reader may still hold the value it displaces: a
+//! displaced box is retired through the epoch, and a displaced inline value
+//! stays in its node until the node itself is freed.
 //!
 //! # Field-protection protocol (who may write what)
 //!
-//! Every field except `key` is mutable and shared between threads, so every
-//! field is an atomic. The synchronization protocol:
+//! Every field except `key` and `inline` is mutable and shared between
+//! threads, so each of them is an atomic. The synchronization protocol:
 //!
 //! * `left`, `right`, `left_height`, `right_height` — protected by this
 //!   node's `tree_lock`.
@@ -48,8 +64,16 @@
 //!   lookups.
 //! * `zombie` — partially-external variant only; guarded by the predecessor's
 //!   `succ_lock`; read without locks by lookups.
-//! * `value` — pointer swapped under the predecessor's `succ_lock`; read
-//!   without locks (epoch-protected) by `get`.
+//! * `value` — null until the key's first value is replaced; then a pointer
+//!   to the boxed current value. Swapped under the predecessor's
+//!   `succ_lock`; read without locks (epoch-protected) by `get`.
+//! * `inline` — not an atomic: a key node's first value, written by
+//!   [`Node::new_key`] before the node is published and never written
+//!   again, so the publishing `Release` stores order it for every reader,
+//!   as they do `key`. It stays initialised after a swap displaces it, and
+//!   `Node::drop` drops it once, when the node is freed after its grace
+//!   period (`inv:inline-value`, DESIGN.md §16.2). Sentinels leave it
+//!   uninitialised.
 //!
 //! # Memory-ordering audit (ISSUE 3)
 //!
@@ -90,6 +114,10 @@
 //!   (paper §5.2) is per-location: an unmarked read linearizes before the
 //!   mark store, and a removed node is unreachable through fresh pointer
 //!   loads once the splice stores land.
+//! * **`value` needs nothing new for the inline cell.** A null pointer was
+//!   stored before the node's publication, like `inline` itself, so a get
+//!   that `Acquire`-loads null reads an initialised cell; one that loads a
+//!   box pointer pairs with the `AcqRel` swap that installed it.
 //! * **Heights are `Relaxed` everywhere**: writes happen under `tree_lock`;
 //!   unlocked reads (`bf` heuristics in the rebalancer) are explicitly
 //!   tolerant of stale values by the relaxed-balance design (Bougé et al.) —
@@ -101,6 +129,7 @@
 //! pointer they loaded.
 
 use lo_reclaim::{Atomic, Guard, Shared};
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicI8, Ordering};
 
 use crate::bound::Bound;
@@ -124,7 +153,8 @@ pub(crate) struct Node<K, V> {
     pub(crate) succ: Atomic<Node<K, V>>,
     /// Logical-ordering predecessor (guarded by `pred(n).succ_lock`).
     pub(crate) pred: Atomic<Node<K, V>>,
-    /// Heap pointer to the mapped value; null for sentinels.
+    /// The boxed value that replaced the key's first one; null while
+    /// [`Self::inline`] holds the current value, and always for sentinels.
     pub(crate) value: Atomic<V>,
     /// Removed from the ordering layout (on-time removal).
     pub(crate) mark: AtomicBool,
@@ -147,12 +177,16 @@ pub(crate) struct Node<K, V> {
     pub(crate) tree_lock: NodeLock,
     /// Ordering-layout interval lock (paper `succLock`).
     pub(crate) succ_lock: NodeLock,
+    /// A key node's first value: written only by [`Self::new_key`], before
+    /// the node is published, and dropped only by `Node::drop`, whether it
+    /// is still current or was displaced. Uninitialised in sentinels.
+    inline: MaybeUninit<V>,
 }
 
-/// Compile-time layout regression tests (ISSUE 3 acceptance criteria): the
-/// hot half of the benchmark configuration `Node<u64, u64>` must fit in one
-/// 64-byte cache line, and the whole node in two. `Bound<u64>` is 16 bytes,
-/// the five pointers 40, the two flags 2 → hot half 58 ≤ 64.
+/// Compile-time layout regression tests: the hot half of the benchmark
+/// configuration `Node<u64, u64>` must fit in one 64-byte cache line, and
+/// the whole node, inline value included, in exactly two. `Bound<u64>` is
+/// 16 bytes, the five pointers 40, the two flags 2 → hot half 58 ≤ 64.
 const _: () = {
     use std::mem::{align_of, offset_of, size_of};
     type N = Node<u64, u64>;
@@ -171,14 +205,30 @@ const _: () = {
     assert!(offset_of!(N, parent) >= 64);
     assert!(offset_of!(N, left_height) >= 64);
     assert!(offset_of!(N, right_height) >= 64);
-    // Whole-node upper bound: two cache lines (also holds with the lockdep
-    // feature's per-lock ledger ids).
-    assert!(size_of::<N>() <= 128, "Node<u64,u64> must fit two cache lines");
+    assert!(offset_of!(N, inline) >= 64);
+    assert!(offset_of!(N, inline) + size_of::<u64>() <= 128);
+    // Exactly two cache lines (also with the lockdep feature's per-lock
+    // ledger ids), so the arena's slots per chunk cannot drift.
+    assert!(size_of::<N>() == 128, "Node<u64,u64> must be two cache lines");
 };
 
 impl<K, V> Node<K, V> {
     /// A sentinel node (`−∞` or `+∞`); carries no value.
     pub(crate) fn sentinel(key: Bound<K>) -> Self {
+        // `Node::drop` reads a `Bound::Key` as an initialised inline value.
+        assert!(!matches!(key, Bound::Key(_)), "a sentinel carries no key");
+        Self::with(key, MaybeUninit::uninit())
+    }
+
+    /// A key node holding `value` in its inline cell. Layout pointers start
+    /// null; the inserting thread links the node into both layouts while
+    /// holding the interval lock.
+    pub(crate) fn new_key(key: K, value: V) -> Self {
+        Self::with(Bound::Key(key), MaybeUninit::new(value))
+    }
+
+    /// The one constructor: `inline` is initialised iff `key` is a key.
+    fn with(key: Bound<K>, inline: MaybeUninit<V>) -> Self {
         Self {
             key,
             value: Atomic::null(),
@@ -193,16 +243,35 @@ impl<K, V> Node<K, V> {
             pred: Atomic::null(),
             succ: Atomic::null(),
             succ_lock: NodeLock::new(),
+            inline,
         }
     }
 
-    /// A key node holding `value`. Layout pointers start null; the inserting
-    /// thread links the node into both layouts while holding the interval
-    /// lock.
-    pub(crate) fn new_key(key: K, value: V) -> Self {
-        let mut n = Self::sentinel(Bound::Key(key));
-        n.value = Atomic::new(value);
-        n
+    /// The key's current value: the boxed replacement if `value` holds
+    /// one, else the inline cell. `None` only for sentinels. `Acquire`
+    /// pairs with the `AcqRel` swap that installed a box (see module docs).
+    #[inline]
+    pub(crate) fn value_ref<'g>(&'g self, g: &'g Guard) -> Option<&'g V> {
+        let v = self.value.load(Ordering::Acquire, g);
+        if v.is_null() {
+            return self.inline_value();
+        }
+        // SAFETY: [inv:epoch-liveness] boxed values are retired through the
+        // epoch, never freed in place, so `v` is valid for `g`'s lifetime.
+        Some(unsafe { v.deref() })
+    }
+
+    /// A key node's inline value, current or displaced; `None` for
+    /// sentinels. It lives as long as the node.
+    #[inline]
+    pub(crate) fn inline_value(&self) -> Option<&V> {
+        match self.key {
+            // SAFETY: [inv:inline-value] a key node's cell was initialised by
+            // `new_key` and is dropped only by `Node::drop`, which needs
+            // `&mut self`.
+            Bound::Key(_) => Some(unsafe { self.inline.assume_init_ref() }),
+            Bound::NegInf | Bound::PosInf => None,
+        }
     }
 
     /// Balance factor `leftHeight − rightHeight`. Caller should hold
@@ -358,8 +427,14 @@ impl<K, V> Drop for Node<K, V> {
         let v = self.value.swap(Shared::null(), Ordering::Relaxed, g);
         if !v.is_null() {
             // SAFETY: [inv:unique-owner] the value pointer was created by
-            // `Atomic::new`/`Owned` and is uniquely owned by this node at drop time.
+            // `Owned::new` and is uniquely owned by this node at drop time.
             drop(unsafe { v.into_owned() });
+        }
+        if let Bound::Key(_) = self.key {
+            // SAFETY: [inv:inline-value] a key node's cell was initialised by
+            // `new_key`, and this is its one drop, whether the value is
+            // current or was displaced by a swap.
+            unsafe { self.inline.assume_init_drop() };
         }
     }
 }
@@ -382,7 +457,11 @@ pub(crate) fn nref<'g, K, V>(s: Shared<'g, Node<K, V>>) -> &'g Node<K, V> {
 mod tests {
     use super::*;
     use crate::bound::Bound;
+    use crate::domain::EpochDomain;
+    use crate::tree::LoTree;
     use lo_reclaim::Owned;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
 
     #[test]
     fn sentinel_layout() {
@@ -390,7 +469,7 @@ mod tests {
         let n = Owned::new(Node::<i64, u64>::sentinel(Bound::PosInf)).into_shared(&g);
         let r = nref(n);
         assert!(r.left.load(Ordering::Relaxed, &g).is_null());
-        assert!(r.value.load(Ordering::Relaxed, &g).is_null());
+        assert!(r.value_ref(&g).is_none());
         assert_eq!(r.bf(), 0);
         assert!(!r.is_removed());
         // SAFETY: the node was never published; this test uniquely owns it.
@@ -403,9 +482,8 @@ mod tests {
         let n = Owned::new(Node::new_key(5i64, String::from("hello"))).into_shared(&g);
         let r = nref(n);
         assert!(r.key.is_key(&5));
-        let v = r.value.load(Ordering::Acquire, &g);
-        // SAFETY: `v` is protected by the live guard `g`.
-        assert_eq!(unsafe { v.deref() }, "hello");
+        assert!(r.value.load(Ordering::Acquire, &g).is_null(), "no box until a swap");
+        assert_eq!(r.value_ref(&g).map(String::as_str), Some("hello"));
         // Dropping the node must free the value (checked by miri/asan runs;
         // here we just exercise the path).
         // SAFETY: the node was never published; this test uniquely owns it.
@@ -439,6 +517,64 @@ mod tests {
         assert_eq!(offset_of!(N, mark), 56);
         assert_eq!(offset_of!(N, zombie), 57);
         assert!(offset_of!(N, parent) >= 64, "cold half must start on line 2");
-        assert!(size_of::<N>() <= 128);
+        // After the two locks, which carry a u64 ledger id under lockdep.
+        assert_eq!(offset_of!(N, inline), if cfg!(feature = "lockdep") { 112 } else { 80 });
+        assert_eq!(size_of::<N>(), 128);
+    }
+
+    /// A `String` value that counts its own drops in `drops`. A clone (what
+    /// `put` returns) counts in a fresh counter, so `drops` counts only
+    /// this value.
+    struct Tracked {
+        text: String,
+        drops: Arc<AtomicUsize>,
+    }
+
+    impl Clone for Tracked {
+        fn clone(&self) -> Self {
+            Self { text: self.text.clone(), drops: Arc::default() }
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A reader that borrowed a key's inline value keeps it through two
+    /// puts: the first displaces the inline value, the second its boxed
+    /// successor. The box is freed after its grace period, the inline value
+    /// only with its node; each is dropped exactly once. CI runs this under
+    /// Miri, which would see a use after free or a double drop.
+    #[test]
+    fn a_reader_keeps_a_displaced_value() {
+        let drops: [Arc<AtomicUsize>; 3] = Default::default();
+        let value =
+            |i: usize, text: &str| Tracked { text: text.into(), drops: Arc::clone(&drops[i]) };
+        let count = |i: usize| drops[i].load(Ordering::Relaxed);
+        let domain = EpochDomain::new();
+        {
+            let t = LoTree::new_in(true, false, domain.clone());
+            assert!(t.insert(7i64, value(0, "first")));
+            let seen = t.get_with(&7, |v| {
+                let old = t.put(7, value(1, "second"));
+                assert_eq!(old.map(|o| o.text.clone()).as_deref(), Some("first"));
+                let old = t.put(7, value(2, "third"));
+                assert_eq!(old.map(|o| o.text.clone()).as_deref(), Some("second"));
+                v.text.clone()
+            });
+            assert_eq!(seen.as_deref(), Some("first"));
+            assert_eq!(t.get(&7).map(|v| v.text.clone()).as_deref(), Some("third"));
+            for _ in 0..64 {
+                if count(1) == 1 {
+                    break;
+                }
+                domain.pin().flush();
+            }
+            assert_eq!(count(1), 1, "the displaced box is freed after its grace period");
+            assert_eq!(count(0), 0, "the displaced inline value lives as long as its node");
+        }
+        assert_eq!([count(0), count(1), count(2)], [1, 1, 1]);
     }
 }

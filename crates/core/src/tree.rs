@@ -271,13 +271,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
         if n.is_removed() {
             return None;
         }
-        let v = n.value.load(Ordering::Acquire, &g);
-        if v.is_null() {
-            return None; // unreachable for key nodes; defensive
-        }
-        // SAFETY: [inv:epoch-liveness] value pointers are retired via the epoch,
-        // never freed in-place, so they are valid for the lifetime of `g`.
-        Some(f(unsafe { v.deref() }))
+        n.value_ref(&g).map(f)
     }
 
     /// Lock-free value clone.

@@ -162,10 +162,10 @@ impl<K: Key, V: Value> LoTree<K, V> {
 
     /// Value swap (shared by `put` and the zombie revival of `insert`):
     /// with `p.succ_lock` held and `s` validated as the key's holder,
-    /// install `value`, revive `s` if it is a zombie, and release
+    /// install `value` in a box, revive `s` if it is a zombie, and release
     /// `p.succ_lock`. Returns the displaced value unless `s` was a zombie
-    /// (its key was logically absent). The displaced value is retired, so
-    /// the returned reference lives only as long as `g`.
+    /// (its key was logically absent). A displaced box is retired, so the
+    /// returned reference lives only as long as `g`.
     fn swap_value<'g>(
         &self,
         p: Shared<'g, Node<K, V>>,
@@ -184,7 +184,11 @@ impl<K: Key, V: Value> LoTree<K, V> {
         }
         nref(p).unlock_succ();
         if old.is_null() {
-            return None; // defensive: key nodes always hold a value
+            // The displaced value is `s`'s inline one. It needs no retire:
+            // `Node::drop` drops it when `s` is freed, after `s`'s own grace
+            // period. Deferring its drop separately could run it after the
+            // slot is recycled, since epoch bags are freed in no fixed order.
+            return if was_zombie { None } else { nref(s).inline_value() };
         }
         // SAFETY: [inv:epoch-liveness] `old` is retired through the epoch
         // below, so it stays valid for this guard's lifetime.
@@ -239,7 +243,9 @@ impl<K: Key, V: Value> LoTree<K, V> {
     /// key is present its value is swapped and the old value returned.
     /// The value swap happens under the predecessor's `succLock` — the same
     /// lock that serializes inserts and removes of this key — so it
-    /// linearizes with them; readers observe either value through the epoch.
+    /// linearizes with them; readers observe either value. A displaced box
+    /// is retired through the epoch; a displaced first value stays in its
+    /// node until the node is freed.
     pub(crate) fn put(&self, key: K, value: V) -> Option<V>
     where
         V: Clone,
@@ -404,11 +410,8 @@ impl<K: Key, V: Value> LoTree<K, V> {
         // Successful removal of s. Its succ lock comes next: succ locks
         // before tree locks, in ascending key order (p, then s).
         nref(s).lock_succ();
-        let v = nref(s).value.load(Ordering::Acquire, g);
-        if !v.is_null() {
-            // SAFETY: [inv:epoch-liveness] value pointers are retired via the
-            // epoch, never freed in place, so `v` is valid for `g`'s lifetime.
-            on_removed(unsafe { v.deref() });
+        if let Some(v) = nref(s).value_ref(g) {
+            on_removed(v);
         }
         // Window: both succ locks held, no tree lock yet (the §5.1
         // ordering boundary).

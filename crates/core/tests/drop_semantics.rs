@@ -85,16 +85,18 @@ macro_rules! drop_suite {
             fn put_drops_replaced_values() {
                 let drops = Arc::new(AtomicUsize::new(0));
                 let domain = EpochDomain::new();
-                {
-                    let m = $ty::new_in(domain.clone());
-                    assert!(m.put(1i64, Counted(Arc::clone(&drops))).is_none());
-                    for _ in 0..20 {
-                        // Each put returns a clone of the old value (dropped
-                        // at end of statement) and retires the original.
-                        let old = m.put(1i64, Counted(Arc::clone(&drops)));
-                        assert!(old.is_some());
-                    }
+                let m = $ty::new_in(domain.clone());
+                assert!(m.put(1i64, Counted(Arc::clone(&drops))).is_none());
+                for _ in 0..20 {
+                    // Each put returns a clone of the old value (dropped at
+                    // end of statement) and displaces the original: the
+                    // first value lives in its node, the others are boxed.
+                    let old = m.put(1i64, Counted(Arc::clone(&drops)));
+                    assert!(old.is_some());
                 }
+                // Removing the key frees its node, and with it the first
+                // value, while the map is still alive.
+                assert!(m.remove(&1));
                 // 21 stored values + 20 returned clones.
                 assert_drops(&domain, &drops, 21 + 20);
             }

@@ -181,6 +181,43 @@ fn pe_zombie_cleanup_interleavings() {
     }
 }
 
+/// A get racing the switch from a key's inline value to a boxed one, and
+/// from that box to the next: over `{1: 1}`, one worker runs `put(1, 2)`
+/// (displacing the inline value) then `put(1, 3)` (displacing a box), and
+/// the other runs `get(1)` twice. Each get must return 1, 2 or 3, the
+/// second never older than the first, and the puts `Some(1)` then
+/// `Some(2)`.
+#[test]
+fn get_races_inline_and_boxed_value_swaps() {
+    for seed in 0..SEEDS {
+        let map = Arc::new(LoAvlMap::new());
+        assert!(map.insert(1i64, 1u64));
+        let gets = Arc::new(OnceLock::new());
+        let puts = Arc::new(OnceLock::new());
+        let workers: Vec<Box<dyn FnOnce() + Send>> = vec![
+            {
+                let (map, gets) = (Arc::clone(&map), Arc::clone(&gets));
+                Box::new(move || gets.set([map.get(&1), map.get(&1)]).unwrap())
+            },
+            {
+                let (map, puts) = (Arc::clone(&map), Arc::clone(&puts));
+                Box::new(move || puts.set([map.put(1, 2), map.put(1, 3)]).unwrap())
+            },
+        ];
+        Scheduler::new(2, seed, 3).run(workers);
+        let [first, second] = gets.get().expect("the get worker ran").map(|v| {
+            v.expect("key 1 is never absent")
+        });
+        assert!(
+            (1..=3).contains(&first) && (1..=3).contains(&second),
+            "seed {seed}: gets {first}, {second}"
+        );
+        assert!(first <= second, "seed {seed}: the second get {second} is older than {first}");
+        assert_eq!(*puts.get().expect("the put worker ran"), [Some(1), Some(2)], "seed {seed}");
+        assert_eq!(map.get(&1), Some(3), "seed {seed}");
+    }
+}
+
 /// A pop racing a `put` of the key it pops: prefill `{1: 1}`; one worker
 /// pops, the other runs `put(1, 2)`. The pop must return the value its
 /// removal unlinked, so only two outcomes linearize:
