@@ -310,8 +310,6 @@ pub struct RecoveryReport {
     pub cause: PoisonCause,
     /// How the layout was repaired.
     pub strategy: RepairStrategy,
-    /// In-flight writers the quarantine gate drained before the audit.
-    pub writers_drained: u32,
     /// Live nodes carried over into the repaired structure.
     pub nodes_salvaged: usize,
     /// Nodes found unreachable from the surviving chain (layout orphans and
@@ -331,12 +329,11 @@ impl std::fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "recovered ({}) from `{}` in {:?}: drained {} writer(s), salvaged {} node(s), \
-             orphaned {}, completed {} stranded mark(s), generation {}",
+            "recovered ({}) from `{}` in {:?}: salvaged {} node(s), orphaned {}, \
+             completed {} stranded mark(s), generation {}",
             self.strategy,
             self.cause,
             self.elapsed,
-            self.writers_drained,
             self.nodes_salvaged,
             self.nodes_orphaned,
             self.marks_completed,
@@ -546,7 +543,6 @@ mod tests {
         let report = RecoveryReport {
             cause: PoisonCause::Panic,
             strategy: RepairStrategy::InPlace,
-            writers_drained: 2,
             nodes_salvaged: 10,
             nodes_orphaned: 3,
             marks_completed: 1,

@@ -95,6 +95,9 @@ macro_rules! define_map {
             }
 
             /// Lock-free value read through a closure (no clone needed).
+            /// `f` runs while the read holds this map's epoch pin, under
+            /// the precondition of [`Self::scan_range`]'s callback: an
+            /// infallible write from `f` panics if the map is recovering.
             pub fn get_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
                 self.tree.get_with(key, f)
             }
@@ -139,11 +142,14 @@ macro_rules! define_map {
             /// yielded key was live at the instant it was observed.
             ///
             /// `f` runs while the scan holds this map's epoch pin. It may
-            /// read and write the map, but must not block on another
+            /// read and write the map, but must not wait for another
             /// thread's recovery of this map: recovery waits for a grace
-            /// period, which would wait on the caller's own pin. For the
-            /// same reason [`Self::try_recover`] called from `f` declines
-            /// with [`RecoverError::Pinned`].
+            /// period, which would wait on the caller's own pin. So an
+            /// infallible write from `f` ([`Self::insert`], [`Self::put`],
+            /// [`Self::remove`], the pops) panics if the map is recovering
+            /// instead of waiting as it does elsewhere, the `try_*` writes
+            /// return [`TreeError::Recovering`], and [`Self::try_recover`]
+            /// called from `f` declines with [`RecoverError::Pinned`].
             pub fn scan_range(
                 &self,
                 range: std::ops::RangeInclusive<K>,
@@ -177,7 +183,10 @@ macro_rules! define_map {
                 self.tree.range_count(range)
             }
 
-            /// Atomically removes and returns the smallest entry.
+            /// Atomically removes and returns the smallest entry. Like
+            /// [`Self::remove`] it waits out a recovery, but panics instead
+            /// when called from a [`Self::scan_range`] or
+            /// [`Self::get_with`] callback (see [`Self::scan_range`]).
             pub fn pop_min(&self) -> Option<(K, V)>
             where
                 V: Clone,
@@ -185,7 +194,8 @@ macro_rules! define_map {
                 self.tree.pop_min()
             }
 
-            /// Atomically removes and returns the largest entry.
+            /// Atomically removes and returns the largest entry; the same
+            /// recovery precondition as [`Self::pop_min`].
             pub fn pop_max(&self) -> Option<(K, V)>
             where
                 V: Clone,

@@ -13,7 +13,7 @@
 //! * every write operation runs inside a [`WriteScope`] whose `Drop`,
 //!   if the thread is unwinding, releases every still-held lock and
 //!   atomically poisons the tree (a `compare_exchange` on the tree's
-//!   poison word, so exactly one cause wins).
+//!   [`WriterGate`] word, so exactly one cause wins).
 //!
 //! A poisoned tree stays readable: the lock-free read path (`contains`,
 //! `get`, ordered access) never consults the poison word, and the
@@ -24,17 +24,21 @@
 //! fired (or [`PoisonCause::RestartStorm`]/[`PoisonCause::Panic`]).
 //!
 //! Read-path cost: zero — nothing here is touched by lookups. Write-path
-//! cost with the `failpoints` feature off: one `Acquire` load on the
-//! poison word per operation plus a thread-local `Vec` push/pop per lock,
-//! no extra shared-memory traffic.
+//! cost with the `failpoints` feature off: one `Acquire` load of the gate
+//! word per operation plus a thread-local `Vec` push/pop per lock, no
+//! extra shared-memory traffic: the gate word is written only by
+//! poisoning and recovery, so its cache line stays shared between cores,
+//! and a recoverer drains writers through the tree's epoch grace period.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
+use crate::domain::EpochDomain;
 use crate::sync::NodeLock;
 use lo_api::{PoisonCause, RecoverError, TreeError};
 use lo_check::fail::FailPoint;
 use lo_check::lockdep::LockClass;
+use lo_reclaim::Guard;
 
 /// Lock-hold tracing phase for a lock class (succ/tree only).
 #[inline(always)]
@@ -74,9 +78,9 @@ impl HeldLock {
     }
 }
 
-/// Gate-state values (the high half of [`WriterGate`]'s word). `0` =
-/// healthy; `u32::MAX` = recovery in progress; anything else encodes a
-/// [`TreeError::Poisoned`] cause.
+/// Gate-state values ([`WriterGate`]'s word). `0` = healthy; `u32::MAX` =
+/// recovery in progress; anything else encodes a [`TreeError::Poisoned`]
+/// cause.
 pub(crate) const CODE_HEALTHY: u32 = 0;
 /// An uninjected (genuine) writer panic.
 pub(crate) const CODE_PANIC: u32 = 1;
@@ -90,134 +94,100 @@ pub(crate) const CODE_FAILPOINT_BASE: u32 = 3;
 /// failpoint code from a newer binary.
 pub(crate) const CODE_RECOVERING: u32 = u32::MAX;
 
-/// Decodes a nonzero, non-recovering poison code into the public error.
-pub(crate) fn decode(code: u32) -> TreeError {
+/// Decodes a nonzero, non-recovering poison code into its cause.
+pub(crate) fn decode(code: u32) -> PoisonCause {
     debug_assert_ne!(code, CODE_HEALTHY);
     debug_assert_ne!(code, CODE_RECOVERING);
     match code {
-        CODE_PANIC => TreeError::Poisoned(PoisonCause::Panic),
-        CODE_RESTART_STORM => TreeError::Poisoned(PoisonCause::RestartStorm),
+        CODE_PANIC => PoisonCause::Panic,
+        CODE_RESTART_STORM => PoisonCause::RestartStorm,
         n => {
             let idx = n - CODE_FAILPOINT_BASE;
             match FailPoint::ALL.get(idx as usize) {
-                Some(p) => TreeError::Poisoned(PoisonCause::Failpoint(p.name())),
+                Some(p) => PoisonCause::Failpoint(p.name()),
                 // A code this binary has no name for (version skew): keep
                 // the raw index so the post-mortem stays unambiguous.
-                None => TreeError::Poisoned(PoisonCause::UnknownFailpoint(idx)),
+                None => PoisonCause::UnknownFailpoint(idx),
             }
         }
     }
 }
 
-/// The cause a successful recovery reports for a given poison code.
-pub(crate) fn decode_cause(code: u32) -> PoisonCause {
-    match decode(code) {
-        TreeError::Poisoned(cause) => cause,
-        // decode() only ever returns Poisoned.
-        _ => PoisonCause::Panic,
-    }
-}
-
 // ----------------------------------------------------------------------
-// The active-writer gate.
+// The writer gate.
 // ----------------------------------------------------------------------
 
-/// Per-tree quarantine gate: one `AtomicU64` whose low half counts
-/// in-flight writers (threads inside a [`WriteScope`]) and whose high half
-/// is the tree state (healthy / poisoned cause / recovering).
+/// Per-tree quarantine gate: one `AtomicU32` holding the tree state
+/// (healthy / poisoned cause / recovering). It counts nobody: a writer
+/// reads it once, and a recoverer drains the writers already past it by
+/// waiting out one epoch grace period of the tree's domain.
 ///
-/// Packing both into one word makes every transition a single RMW, so the
-/// invariants hold without `SeqCst` (banned workspace-wide):
+/// Why that drains every writer that read `CODE_HEALTHY`: a writer pins
+/// the tree's domain *before* it loads the gate ([`WriteScope::enter`]
+/// takes the pin's guard), and its scope drops, releasing every lock it
+/// still holds, before the guard unpins with a `Release` store. An
+/// outermost pin ends in a `SeqCst` fence, and the recoverer runs
+/// `SeqCst` fences after its flip to `CODE_RECOVERING`, when it seals its
+/// grace-period flag and scans the domain's announcements. Those fences
+/// are totally ordered, so either
 ///
-/// * a writer only registers while the state is `CODE_HEALTHY`, so once a
-///   recoverer has flipped the state, the count can only go down;
-/// * [`WriteScope`]'s drop deregisters *last* — after the unwind path has
-///   released every held lock — so a recoverer that observes the count at
-///   zero (Acquire, pairing with the `exit` Release) knows every node lock
-///   is free and every dead writer's stores are visible.
+/// * the writer's fence comes first: the recoverer's scan sees the
+///   writer's announcement, and the grace period lasts until the writer
+///   unpins, after its scope has released every lock; or
+/// * the recoverer's fence comes first: the writer's gate load reads
+///   `CODE_RECOVERING` (or a later state), and the writer never enters.
+///
+/// This is the handshake EBR itself rests on: the flip plays an unlink,
+/// the gate load a reader's load of the unlinked pointer, and the flag
+/// the retired node. A nested pin (a write inside a scan or `get_with`
+/// callback, or inside the batched frontend's batch) is covered by its
+/// outermost pin, which cannot repin while the write's own guard lives.
 ///
 /// The gate is the only writable/poisoned/recovering authority for a tree;
 /// its state-changing surface is confined to this file and `recover.rs`
 /// (enforced by lo-lint's recovery rule).
 pub(crate) struct WriterGate {
-    word: AtomicU64,
+    state: AtomicU32,
 }
-
-const GATE_COUNT_MASK: u64 = 0xFFFF_FFFF;
 
 impl WriterGate {
     pub(crate) const fn new() -> Self {
-        WriterGate { word: AtomicU64::new(0) }
-    }
-
-    #[inline(always)]
-    fn state_of(word: u64) -> u32 {
-        (word >> 32) as u32
-    }
-
-    #[inline(always)]
-    fn count_of(word: u64) -> u32 {
-        (word & GATE_COUNT_MASK) as u32
+        WriterGate { state: AtomicU32::new(CODE_HEALTHY) }
     }
 
     /// Current state code (`CODE_*`).
     #[inline]
     pub(crate) fn state(&self) -> u32 {
-        Self::state_of(self.word.load(Ordering::Acquire))
+        self.state.load(Ordering::Acquire)
     }
 
     /// Current error for the public surface: `None` while healthy.
     pub(crate) fn error(&self) -> Option<TreeError> {
-        match self.state() {
-            CODE_HEALTHY => None,
-            CODE_RECOVERING => Some(TreeError::Recovering),
-            code => Some(decode(code)),
-        }
+        self.enter().err()
     }
 
-    /// Registers an in-flight writer; fails once poisoned or recovering.
-    /// Acquire on success pairs with `finish_recovery`'s Release so a
-    /// writer admitted after a recovery sees the repaired layout.
+    /// Admits a writer while the tree is healthy: one `Acquire` load,
+    /// pairing with `finish_recovery`'s `Release` so a writer admitted
+    /// after a recovery sees the repaired layout. The caller must be
+    /// pinned in the tree's domain (see the type docs).
     #[inline]
     pub(crate) fn enter(&self) -> Result<(), TreeError> {
-        match self.word.fetch_update(Ordering::Acquire, Ordering::Acquire, |w| {
-            (Self::state_of(w) == CODE_HEALTHY).then_some(w + 1)
-        }) {
-            Ok(_) => Ok(()),
-            Err(w) => Err(match Self::state_of(w) {
-                CODE_RECOVERING => TreeError::Recovering,
-                code => decode(code),
-            }),
+        match self.state() {
+            CODE_HEALTHY => Ok(()),
+            CODE_RECOVERING => Err(TreeError::Recovering),
+            code => Err(TreeError::Poisoned(decode(code))),
         }
-    }
-
-    /// Deregisters an in-flight writer. Must be the *last* thing a
-    /// [`WriteScope`] does (normal return or unwind): the Release makes
-    /// everything the writer did — including its lock releases — visible
-    /// to a recoverer that observes the drained count.
-    #[inline]
-    pub(crate) fn exit(&self) {
-        let prev = self.word.fetch_sub(1, Ordering::Release);
-        debug_assert_ne!(Self::count_of(prev), 0, "gate exit without a matching enter");
-    }
-
-    /// In-flight writer count (Acquire: pairs with `exit`).
-    #[inline]
-    pub(crate) fn writers(&self) -> u32 {
-        Self::count_of(self.word.load(Ordering::Acquire))
     }
 
     /// Installs a poison cause, first-cause-wins: a no-op when the state is
     /// already a cause *or* `CODE_RECOVERING` (a writer dying while
     /// quarantined must not clobber the recoverer's claim — the recoverer
-    /// itself decides what state to leave behind). Preserves the count.
+    /// itself decides what state to leave behind).
     pub(crate) fn poison(&self, code: u32) {
         debug_assert_ne!(code, CODE_HEALTHY);
         debug_assert_ne!(code, CODE_RECOVERING);
-        let _ = self.word.fetch_update(Ordering::Release, Ordering::Relaxed, |w| {
-            (Self::state_of(w) == CODE_HEALTHY)
-                .then_some((w & GATE_COUNT_MASK) | (u64::from(code) << 32))
-        });
+        let _ =
+            self.state.compare_exchange(CODE_HEALTHY, code, Ordering::Release, Ordering::Relaxed);
     }
 
     /// Claims the gate for recovery: flips a poisoned state to
@@ -226,29 +196,21 @@ impl WriterGate {
     /// [`RecoverError::NotPoisoned`], a concurrent recoverer with
     /// [`RecoverError::Busy`].
     pub(crate) fn begin_recovery(&self) -> Result<u32, RecoverError> {
-        match self.word.fetch_update(Ordering::Acquire, Ordering::Acquire, |w| {
-            let s = Self::state_of(w);
-            (s != CODE_HEALTHY && s != CODE_RECOVERING)
-                .then_some((w & GATE_COUNT_MASK) | (u64::from(CODE_RECOVERING) << 32))
+        match self.state.fetch_update(Ordering::Acquire, Ordering::Acquire, |s| {
+            (s != CODE_HEALTHY && s != CODE_RECOVERING).then_some(CODE_RECOVERING)
         }) {
-            Ok(prev) => Ok(Self::state_of(prev)),
-            Err(w) if Self::state_of(w) == CODE_HEALTHY => Err(RecoverError::NotPoisoned),
+            Ok(prior) => Ok(prior),
+            Err(CODE_HEALTHY) => Err(RecoverError::NotPoisoned),
             Err(_) => Err(RecoverError::Busy),
         }
     }
 
     /// Ends recovery, storing `code` (`CODE_HEALTHY` on success, the prior
-    /// cause when verification failed) and preserving the count. Release:
-    /// pairs with `enter`'s Acquire so admitted writers see the repair.
+    /// cause when verification failed). Release: pairs with `enter`'s
+    /// Acquire so admitted writers see the repair.
     pub(crate) fn finish_recovery(&self, code: u32) {
-        let prev = self.word.fetch_update(Ordering::Release, Ordering::Relaxed, |w| {
-            Some((w & GATE_COUNT_MASK) | (u64::from(code) << 32))
-        });
-        debug_assert_eq!(
-            prev.map(Self::state_of),
-            Ok(CODE_RECOVERING),
-            "finish_recovery without begin_recovery"
-        );
+        let prev = self.state.swap(code, Ordering::Release);
+        debug_assert_eq!(prev, CODE_RECOVERING, "finish_recovery without begin_recovery");
     }
 }
 
@@ -350,18 +312,21 @@ pub(crate) fn abort_if_poisoned(gate: &WriterGate) {
     }
 }
 
-/// Operation-granularity unwind guard. Constructed at the top of every
-/// write operation; registers the writer with the tree's [`WriterGate`],
-/// and on a panicking drop releases the thread's held locks and poisons
-/// the tree.
+/// Operation-granularity unwind guard, entered at the top of every write
+/// operation once the writer is pinned and the tree's [`WriterGate`]
+/// admits it; on a panicking drop it releases the thread's held locks and
+/// poisons the tree.
 pub(crate) struct WriteScope<'t> {
     gate: &'t WriterGate,
 }
 
 impl<'t> WriteScope<'t> {
     /// Enters a write scope, first rejecting the write if the tree is
-    /// already poisoned or quarantined by a recoverer.
-    pub(crate) fn enter(gate: &'t WriterGate) -> Result<Self, TreeError> {
+    /// already poisoned or quarantined by a recoverer. `_pin` is the
+    /// writer's guard in the tree's epoch domain: the gate is read after
+    /// the pin, and the scope, borrowing the guard, drops before it
+    /// unpins (the drain argument in [`WriterGate`]'s docs).
+    pub(crate) fn enter(gate: &'t WriterGate, _pin: &'t Guard) -> Result<Self, TreeError> {
         gate.enter()?;
         LINEARIZED.with(|c| c.set(false));
         Ok(WriteScope { gate })
@@ -375,7 +340,6 @@ impl Drop for WriteScope<'_> {
                 HELD.with(|h| h.borrow().is_empty()),
                 "write operation returned with locks still registered"
             );
-            self.gate.exit();
             return;
         }
         // Poison FIRST (Release pairs with the Acquire loads in
@@ -401,39 +365,39 @@ impl Drop for WriteScope<'_> {
             // (held nodes are never retired).
             unsafe { (*e.lock).unlock_traced() };
         }
-        // Deregister LAST: once a recoverer observes the drained gate,
-        // every lock this writer held has been released and every store it
-        // made is visible (`exit` is a Release the drain loop Acquires).
-        self.gate.exit();
+        // The writer's guard unpins only after this returns, so a
+        // recoverer's grace period ends with every lock above released.
     }
 }
 
-/// Unwraps a fallible write for the infallible `ConcurrentMap` surface:
-/// panics (outside any [`WriteScope`], so without poisoning) on
-/// [`TreeError::Poisoned`] or [`TreeError::AllocFailed`].
+/// Runs a write for the infallible `ConcurrentMap` surface. It waits out
+/// [`TreeError::Recovering`] with [`ContentionBackoff`], retrying `op`: the
+/// repair window is bounded (one grace period, an audit, perhaps a
+/// rebuild), so spinning is the right shape for callers with no error
+/// channel. Fallible callers see `Recovering` directly and choose their own
+/// policy. Panics, outside any [`WriteScope`] and so without poisoning, on
+/// [`TreeError::Poisoned`] or [`TreeError::AllocFailed`], and on
+/// `Recovering` when the calling thread is pinned in `domain`: the recovery
+/// waits for a grace period that pin holds back, so the wait would never
+/// end.
+///
+/// [`ContentionBackoff`]: crate::sync::ContentionBackoff
 #[inline]
-pub(crate) fn expect_writable<T>(r: Result<T, TreeError>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Bridges the infallible surface across an online recovery: retries `op`
-/// with [`ContentionBackoff`] while it reports
-/// [`TreeError::Recovering`] — the repair window is bounded (one audit +
-/// rebuild), so spinning with backoff is the right shape for callers with
-/// no error channel. Fallible callers instead see `Recovering` directly
-/// and choose their own policy.
-#[inline]
-pub(crate) fn block_during_recovery<T>(
+pub(crate) fn expect_writable<T>(
+    domain: &EpochDomain,
     mut op: impl FnMut() -> Result<T, TreeError>,
-) -> Result<T, TreeError> {
+) -> T {
     let mut backoff = crate::sync::ContentionBackoff::new();
     loop {
         match op() {
-            Err(TreeError::Recovering) => backoff.pause(),
-            r => return r,
+            Ok(v) => return v,
+            Err(TreeError::Recovering) if !domain.is_pinned() => backoff.pause(),
+            Err(TreeError::Recovering) => panic!(
+                "write to a recovering tree from a thread pinned in its epoch domain (inside a \
+                 scan_range, range_cursor or get_with callback): the recovery waits for a grace \
+                 period this pin holds back; write outside the callback, or use try_* writes"
+            ),
+            Err(e) => panic!("{e}"),
         }
     }
 }
@@ -505,74 +469,63 @@ mod tests {
 
     #[test]
     fn decode_covers_all_causes() {
-        assert_eq!(decode(CODE_PANIC), TreeError::Poisoned(PoisonCause::Panic));
-        assert_eq!(decode(CODE_RESTART_STORM), TreeError::Poisoned(PoisonCause::RestartStorm));
+        assert_eq!(decode(CODE_PANIC), PoisonCause::Panic);
+        assert_eq!(decode(CODE_RESTART_STORM), PoisonCause::RestartStorm);
         for p in FailPoint::ALL {
             assert_eq!(
                 decode(CODE_FAILPOINT_BASE + p.index() as u32),
-                TreeError::Poisoned(PoisonCause::Failpoint(p.name()))
+                PoisonCause::Failpoint(p.name())
             );
         }
         // Out-of-range codes (a poison word from a newer binary with more
         // failpoints) keep their raw index instead of collapsing to a
         // single ambiguous "unknown".
         let beyond = CODE_FAILPOINT_BASE + FailPoint::COUNT as u32 + 5;
-        assert_eq!(
-            decode(beyond),
-            TreeError::Poisoned(PoisonCause::UnknownFailpoint(FailPoint::COUNT as u32 + 5))
-        );
+        assert_eq!(decode(beyond), PoisonCause::UnknownFailpoint(FailPoint::COUNT as u32 + 5));
     }
 
     #[test]
     fn scope_enter_rejects_poisoned() {
+        let pin = lo_reclaim::pin();
         let gate = WriterGate::new();
         gate.poison(CODE_RESTART_STORM);
         assert_eq!(
-            WriteScope::enter(&gate).err(),
+            WriteScope::enter(&gate, &pin).err(),
             Some(TreeError::Poisoned(PoisonCause::RestartStorm))
         );
         let healthy = WriterGate::new();
-        assert!(WriteScope::enter(&healthy).is_ok());
+        assert!(WriteScope::enter(&healthy, &pin).is_ok());
     }
 
     #[test]
-    fn gate_counts_writers_and_orders_recovery() {
+    fn gate_admits_writers_only_while_healthy() {
         let gate = WriterGate::new();
-        assert_eq!(gate.writers(), 0);
         assert_eq!(gate.error(), None);
-        let s1 = WriteScope::enter(&gate).unwrap();
-        let s2 = WriteScope::enter(&gate).unwrap();
-        assert_eq!(gate.writers(), 2);
+        assert_eq!(gate.enter(), Ok(()));
         // Recovery cannot start on a healthy tree.
         assert_eq!(gate.begin_recovery(), Err(RecoverError::NotPoisoned));
-        // Poisoning preserves the in-flight count; first cause wins.
+        // First cause wins, and a poisoned gate refuses writers.
         gate.poison(CODE_PANIC);
         gate.poison(CODE_RESTART_STORM);
-        assert_eq!(gate.writers(), 2);
         assert_eq!(gate.error(), Some(TreeError::Poisoned(PoisonCause::Panic)));
-        // New writers bounce, in-flight writers drain through scope drops.
-        assert!(WriteScope::enter(&gate).is_err());
-        drop(s1);
-        assert_eq!(gate.writers(), 1);
-        // Exactly one recoverer wins the claim.
+        assert_eq!(gate.enter(), Err(TreeError::Poisoned(PoisonCause::Panic)));
+        // Exactly one recoverer wins the claim; writers see `Recovering`.
         assert_eq!(gate.begin_recovery(), Ok(CODE_PANIC));
         assert_eq!(gate.begin_recovery(), Err(RecoverError::Busy));
-        assert_eq!(gate.error(), Some(TreeError::Recovering));
-        assert_eq!(WriteScope::enter(&gate).err(), Some(TreeError::Recovering));
+        assert_eq!(gate.enter(), Err(TreeError::Recovering));
         // A writer dying while quarantined cannot clobber the claim.
         gate.poison(CODE_PANIC);
         assert_eq!(gate.error(), Some(TreeError::Recovering));
-        drop(s2);
-        assert_eq!(gate.writers(), 0);
         gate.finish_recovery(CODE_HEALTHY);
         assert_eq!(gate.error(), None);
-        assert!(WriteScope::enter(&gate).is_ok());
+        assert_eq!(gate.enter(), Ok(()));
     }
 
     #[test]
-    fn block_during_recovery_retries_until_resolved() {
+    fn expect_writable_waits_out_recovery_unless_pinned() {
+        let domain = EpochDomain::new();
         let mut bounces = 0;
-        let r: Result<u32, TreeError> = block_during_recovery(|| {
+        let v = expect_writable(&domain, || {
             if bounces < 3 {
                 bounces += 1;
                 Err(TreeError::Recovering)
@@ -580,19 +533,30 @@ mod tests {
                 Ok(7)
             }
         });
-        assert_eq!(r, Ok(7));
-        assert_eq!(bounces, 3);
-        // Non-recovering errors pass straight through.
-        let r: Result<u32, TreeError> = block_during_recovery(|| Err(TreeError::AllocFailed));
-        assert_eq!(r, Err(TreeError::AllocFailed));
+        assert_eq!((v, bounces), (7, 3));
+        // Other errors panic at once.
+        let alloc = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            expect_writable(&domain, || Err::<(), _>(TreeError::AllocFailed))
+        }));
+        assert!(alloc.is_err());
+        // A caller pinned in the domain would wait forever: it panics.
+        let pin = domain.pin();
+        let pinned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            expect_writable(&domain, || Err::<(), _>(TreeError::Recovering))
+        }));
+        drop(pin);
+        let err = pinned.unwrap_err();
+        let msg = lo_check::fail::panic_message(err.as_ref()).unwrap();
+        assert!(msg.contains("pinned in its epoch domain"), "{msg}");
     }
 
     #[test]
     fn panicking_scope_releases_locks_and_poisons() {
+        let pin = lo_reclaim::pin();
         let gate = WriterGate::new();
         let lock = NodeLock::new();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _scope = WriteScope::enter(&gate).unwrap();
+            let _scope = WriteScope::enter(&gate, &pin).unwrap();
             lock.lock_traced(
                 lo_check::lockdep::LockClass::Tree,
                 lo_check::lockdep::Rank::Opaque,
@@ -606,11 +570,10 @@ mod tests {
         assert_eq!(lo_check::fail::effect_in_message(msg), Some(false));
         assert!(!lock.is_locked(), "unwind must release registered locks");
         assert_eq!(gate.state(), CODE_PANIC);
-        assert_eq!(gate.writers(), 0, "the dying scope must still deregister");
         // First cause wins: a second death cannot re-poison.
         let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             set_pending(CODE_RESTART_STORM);
-            let _scope = match WriteScope::enter(&gate) {
+            let _scope = match WriteScope::enter(&gate, &pin) {
                 Ok(s) => s,
                 Err(e) => panic!("{e}"),
             };
@@ -621,9 +584,10 @@ mod tests {
 
     #[test]
     fn linearized_marker_tracks_scope() {
+        let pin = lo_reclaim::pin();
         let gate = WriterGate::new();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _scope = WriteScope::enter(&gate).unwrap();
+            let _scope = WriteScope::enter(&gate, &pin).unwrap();
             note_linearized();
             panic_with_effect("death after linearization");
         }));
@@ -633,7 +597,7 @@ mod tests {
         // The next scope resets the flag.
         let gate2 = WriterGate::new();
         let result2 = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _scope = WriteScope::enter(&gate2).unwrap();
+            let _scope = WriteScope::enter(&gate2, &pin).unwrap();
             panic_with_effect("death before linearization");
         }));
         let msg2_err = result2.unwrap_err();
@@ -644,9 +608,10 @@ mod tests {
     #[test]
     fn restart_budget_trips_at_limit() {
         set_max_restarts(4);
+        let pin = lo_reclaim::pin();
         let gate = WriterGate::new();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _scope = WriteScope::enter(&gate).unwrap();
+            let _scope = WriteScope::enter(&gate, &pin).unwrap();
             let mut budget = RestartBudget::new();
             for _ in 0..10 {
                 budget.tick();
@@ -655,7 +620,7 @@ mod tests {
         set_max_restarts(0);
         assert!(result.is_err());
         assert_eq!(gate.state(), CODE_RESTART_STORM);
-        assert_eq!(decode(gate.state()), TreeError::Poisoned(PoisonCause::RestartStorm));
+        assert_eq!(decode(gate.state()), PoisonCause::RestartStorm);
         // Unlimited (0) never trips.
         let mut budget = RestartBudget::new();
         for _ in 0..100_000 {
@@ -670,8 +635,9 @@ mod tests {
         let gate = WriterGate::new();
         gate.poison(CODE_FAILPOINT_BASE + FailPoint::RemoveAfterMark.index() as u32);
         let healthy_scope = WriterGate::new();
+        let pin = lo_reclaim::pin();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _scope = WriteScope::enter(&healthy_scope).unwrap();
+            let _scope = WriteScope::enter(&healthy_scope, &pin).unwrap();
             abort_if_poisoned(&gate);
         }));
         let err = result.unwrap_err();

@@ -9,11 +9,14 @@
 //!
 //! 1. **Quarantine** — `WriterGate::begin_recovery` claims the tree
 //!    (exactly one recoverer wins; concurrent callers see
-//!    [`RecoverError::Busy`]), then the recoverer waits for the in-flight
-//!    writer count to drain to zero. `WriteScope`'s drop deregisters
-//!    *after* releasing every held lock, so a drained gate proves no node
-//!    lock is held and every dead writer's stores are visible. Lock-free
-//!    reads are untouched throughout.
+//!    [`RecoverError::Busy`]), then the recoverer waits out one epoch
+//!    grace period of the tree's domain. A writer pins that domain before
+//!    it reads the gate and unpins only after its `WriteScope` has
+//!    released every held lock, so once the grace period ends every writer
+//!    that got past the gate has left, no node lock is held, and every
+//!    dead writer's stores are visible (the fence argument is on
+//!    `WriterGate`). Lock-free reads are never blocked; the recoverer
+//!    waits for their pins too.
 //! 2. **Audit** — a damage classifier walks the succ chain (the layout the
 //!    protocol always repairs *first*, hence the durable truth) and the
 //!    physical layout, force-completing stranded mark splices, and
@@ -34,8 +37,9 @@
 //!    invariant check while still quarantined; only then does the gate CAS
 //!    back to healthy with a bumped recovery generation. Writers that
 //!    arrived mid-recovery saw [`TreeError::Recovering`] and retry (the
-//!    infallible surface spins with `ContentionBackoff` via
-//!    `poison::block_during_recovery`).
+//!    infallible surface spins with `ContentionBackoff` in
+//!    `poison::expect_writable`, and panics instead on a thread pinned in
+//!    the tree's domain, whose pin would hold the recovery back).
 //!
 //! Failure mode: if verification fails the gate is restored to its prior
 //! poison cause and the caller gets [`RecoverError::VerifyFailed`] — the
@@ -47,7 +51,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use crate::node::{nref, Node};
-use crate::poison::{decode_cause, CODE_HEALTHY};
+use crate::poison::{decode, CODE_HEALTHY};
 use crate::sync::ContentionBackoff;
 use crate::tree::LoTree;
 use lo_api::{Health, Key, RecoverError, RecoveryReport, RepairStrategy, TreeError, Value};
@@ -62,10 +66,10 @@ use lo_metrics::{add, record, Event};
 fn at<'a, K: Key, V: Value>(p: usize) -> &'a Node<K, V> {
     debug_assert_ne!(p, 0, "dereferencing a null node address");
     // SAFETY: [inv:recovery-quarantine] the address was read out of the tree
-    // after `begin_recovery` claimed the gate and the writer count drained:
-    // the recoverer is the only thread that retires nodes from here on, and
-    // it does so strictly after the structure stops referencing them, so
-    // every audited address stays live for the whole quarantine.
+    // after `begin_recovery` claimed the gate and its grace period drained
+    // every writer: the recoverer is the only thread that retires nodes from
+    // here on, and it does so strictly after the structure stops referencing
+    // them, so every audited address stays live for the whole quarantine.
     unsafe { &*(p as *const Node<K, V>) }
 }
 
@@ -81,6 +85,9 @@ fn shp<'a, K, V>(p: usize) -> Shared<'a, Node<K, V>> {
 
 /// Blocks until every epoch pin that was active at call time has retired:
 /// defers a flag store and spins (with backoff) repinning until it runs.
+/// The flag is sealed after everything the caller did before the call, so
+/// it also drains every writer that read the gate before the caller
+/// flipped it (`WriterGate`'s docs).
 /// The caller must not hold a guard of its own, or the epoch can never
 /// advance past it; `try_recover` refuses a pinned caller with
 /// [`RecoverError::Pinned`]. Readers are never blocked — the *recoverer*
@@ -141,18 +148,15 @@ impl<K: Key, V: Value> LoTree<K, V> {
         let start = std::time::Instant::now();
         record(Event::RecoveryStarted);
 
-        // --- quarantine: wait out in-flight writers (reads continue) ---
-        let writers_drained = self.gate.writers();
-        let mut backoff = ContentionBackoff::new();
-        while self.gate.writers() > 0 {
-            backoff.pause();
-        }
+        // --- quarantine: every writer that read the gate before the flip
+        // is pinned in the domain until its scope has released its locks,
+        // so one grace period drains them all (reads continue) ---
+        wait_for_grace_period(&self.domain);
 
         let outcome = self.audit_and_repair(prior);
         lo_metrics::span(lo_metrics::Phase::Recovery, t0);
         match outcome {
             Ok(mut report) => {
-                report.writers_drained = writers_drained;
                 report.elapsed = start.elapsed();
                 add(Event::RecoveryNodesSalvaged, report.nodes_salvaged as u64);
                 add(Event::RecoveryNodesOrphaned, report.nodes_orphaned as u64);
@@ -207,9 +211,8 @@ impl<K: Key, V: Value> LoTree<K, V> {
         // a writer admitted after this store sees the whole repair.
         self.gate.finish_recovery(CODE_HEALTHY);
         Ok(RecoveryReport {
-            cause: decode_cause(prior),
+            cause: decode(prior),
             strategy,
-            writers_drained: 0, // caller fills in
             nodes_salvaged: audit.chain.len(),
             nodes_orphaned: audit.orphans.len(),
             marks_completed: audit.marks_completed,
@@ -415,10 +418,11 @@ impl<K: Key, V: Value> LoTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::EpochDomain;
     use crate::poison::{CODE_PANIC, CODE_RESTART_STORM};
     use lo_api::PoisonCause;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
 
     /// Damages the layout: detaches the top's left subtree. The chain still
     /// holds every key; the layout no longer does.
@@ -507,6 +511,72 @@ mod tests {
         let report = t.try_recover().expect("an unpinned caller recovers");
         assert_eq!(report.strategy, RepairStrategy::InPlace);
         assert_eq!(t.health(), Health::Writable);
+    }
+
+    /// A writer that passed the gate before the poison is still inside its
+    /// scope, parked in `remove_with`'s callback with both succ locks held:
+    /// the grace period keeps the recoverer waiting until it has left.
+    #[test]
+    fn recovery_waits_for_a_writer_inside_its_scope() {
+        let tree: LoTree<i64, u64> = LoTree::new_in(true, false, EpochDomain::new());
+        let t = &tree;
+        for k in 0..16 {
+            assert!(t.insert(k, k as u64));
+        }
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (report_tx, report_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let worker = s.spawn(move || {
+                t.remove_with(&7, |_| {
+                    parked_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                })
+            });
+            parked_rx.recv().unwrap();
+            t.gate.poison(CODE_RESTART_STORM);
+            s.spawn(move || report_tx.send(t.try_recover()).unwrap());
+            let early = report_rx.recv_timeout(Duration::from_millis(200));
+            // Release before asserting, so a failure cannot hang the scope.
+            release_tx.send(()).unwrap();
+            assert!(worker.join().unwrap(), "the parked remove completes");
+            assert!(early.is_err(), "recovery ended with a writer inside its scope: {early:?}");
+        });
+        let report = report_rx.recv().unwrap().expect("the drained tree recovers");
+        assert_eq!(report.strategy, RepairStrategy::AuditOnly);
+        assert!(!t.contains(&7));
+        assert_eq!(t.len_quiescent(), 15);
+        assert!(t.insert(99, 99));
+    }
+
+    /// An infallible write inside a `get_with` callback on a recovering
+    /// tree would wait for a recovery that waits for the callback's own
+    /// pin: it panics instead.
+    #[test]
+    fn a_pinned_writer_panics_instead_of_waiting_for_recovery() {
+        let t = Arc::new(LoTree::<i64, u64>::new_in(true, false, EpochDomain::new()));
+        assert!(t.insert(1, 1));
+        t.gate.poison(CODE_RESTART_STORM);
+        assert_eq!(t.gate.begin_recovery(), Ok(CODE_RESTART_STORM));
+        let (tx, rx) = mpsc::channel();
+        let worker = Arc::clone(&t);
+        // Not a scoped thread: a spinning insert must fail the test, not
+        // hang it on a join.
+        let handle = std::thread::spawn(move || {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                worker.get_with(&1, |_| worker.insert(2, 2))
+            }));
+            let msg = r.err().map(|p| lo_check::fail::panic_message(p.as_ref()).map(str::to_owned));
+            tx.send(msg).unwrap();
+        });
+        let outcome = rx.recv_timeout(Duration::from_secs(5));
+        let msg = outcome
+            .expect("a pinned insert on a recovering tree neither panicked nor returned in 5 s")
+            .expect("a pinned insert on a recovering tree returned instead of panicking");
+        assert!(msg.is_some_and(|m| m.contains("pinned in its epoch domain")));
+        handle.join().expect("the worker caught the insert's panic");
+        t.gate.finish_recovery(CODE_RESTART_STORM);
+        assert!(!t.contains(&2));
     }
 
     #[test]

@@ -38,9 +38,10 @@ pub(crate) struct LoTree<K: Key, V: Value> {
     /// Partially-external mode: 2-children removals only set the `zombie`
     /// flag; inserts revive zombies; physical removal is deferred.
     pub(crate) partially_external: bool,
-    /// Quarantine gate: in-flight writer count + tree state (healthy /
-    /// poisoned cause / recovering) in one word. Never read on the
-    /// lock-free lookup paths — a poisoned tree stays readable. Its
+    /// Quarantine gate: the tree state (healthy / poisoned cause /
+    /// recovering) in one word that counts no writers; recovery drains
+    /// them through `domain`'s grace period. Read once per write, never on
+    /// the lock-free lookup paths — a poisoned tree stays readable. Its
     /// state-changing surface lives in `poison.rs`/`recover.rs` only.
     pub(crate) gate: crate::poison::WriterGate,
     /// Monotone recovery generation: bumped by every successful

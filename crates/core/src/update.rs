@@ -121,13 +121,12 @@ impl<K: Key, V: Value> LoTree<K, V> {
     /// a successful insertion.
     ///
     /// Infallible surface: waits out a transient [`TreeError::Recovering`]
-    /// with backoff, then panics if the tree is poisoned or allocation
-    /// fails (see [`Self::try_insert`]).
+    /// with backoff, and panics if the tree is poisoned, if allocation
+    /// fails (see [`Self::try_insert`]), or if it would wait out a recovery
+    /// while pinned in the tree's domain (`poison::expect_writable`).
     pub(crate) fn insert(&self, key: K, value: V) -> bool {
         let mut slot = Some(value);
-        poison::expect_writable(poison::block_during_recovery(|| {
-            self.try_insert_slot(key, &mut slot)
-        }))
+        poison::expect_writable(&self.domain, || self.try_insert_slot(key, &mut slot))
     }
 
     /// Fallible [`Self::insert`]: rejects writes on a poisoned (or
@@ -143,7 +142,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
     /// `Clone` in general).
     fn try_insert_slot(&self, key: K, slot: &mut Option<V>) -> Result<bool, TreeError> {
         let g = &self.domain.pin();
-        let _scope = WriteScope::enter(&self.gate)?;
+        let _scope = WriteScope::enter(&self.gate, g)?;
         let value = slot.take().expect("insert attempt retried after its value was committed");
         let Interval { p, s, landing } = self.lock_interval(&key, g);
         if !nref(s).key.is_key(&key) {
@@ -251,9 +250,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
         V: Clone,
     {
         let mut slot = Some(value);
-        poison::expect_writable(poison::block_during_recovery(|| {
-            self.try_put_slot(key, &mut slot)
-        }))
+        poison::expect_writable(&self.domain, || self.try_put_slot(key, &mut slot))
     }
 
     /// Fallible [`Self::put`] (see [`Self::try_insert`] for the contract).
@@ -271,7 +268,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
         V: Clone,
     {
         let g = &self.domain.pin();
-        let _scope = WriteScope::enter(&self.gate)?;
+        let _scope = WriteScope::enter(&self.gate, g)?;
         let value = slot.take().expect("put attempt retried after its value was committed");
         let Interval { p, s, landing } = self.lock_interval(&key, g);
         if !nref(s).key.is_key(&key) {
@@ -373,7 +370,8 @@ impl<K: Key, V: Value> LoTree<K, V> {
     /// partially-external mode, delegates to the logical-removal path.
     ///
     /// Infallible surface: panics if the tree is poisoned (see
-    /// [`Self::try_remove`]); waits out an in-flight recovery.
+    /// [`Self::try_remove`]); waits out an in-flight recovery, unless the
+    /// caller is pinned in the tree's domain (`poison::expect_writable`).
     pub(crate) fn remove(&self, key: &K) -> bool {
         self.remove_with(key, |_| {})
     }
@@ -382,9 +380,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
     /// called once and only on a successful removal, while both succ locks
     /// are held — so no `put` or revival can change the value in between.
     pub(crate) fn remove_with(&self, key: &K, mut on_removed: impl FnMut(&V)) -> bool {
-        poison::expect_writable(poison::block_during_recovery(|| {
-            self.try_remove_with(key, &mut on_removed)
-        }))
+        poison::expect_writable(&self.domain, || self.try_remove_with(key, &mut on_removed))
     }
 
     /// Fallible [`Self::remove`]: rejects writes on a poisoned tree. An
@@ -401,7 +397,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
         on_removed: &mut impl FnMut(&V),
     ) -> Result<bool, TreeError> {
         let g = &self.domain.pin();
-        let _scope = WriteScope::enter(&self.gate)?;
+        let _scope = WriteScope::enter(&self.gate, g)?;
         let Interval { p, s, .. } = self.lock_interval(key, g);
         if !nref(s).key.is_key(key) || self.zombie_under_lock(s) {
             nref(p).unlock_succ();

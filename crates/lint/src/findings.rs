@@ -22,7 +22,7 @@ pub enum Rule {
     /// Failpoint / span probe coverage of the write windows.
     Coverage,
     /// Online-recovery gate discipline (manifest `[recovery]`): the
-    /// active-writer gate's state-changing methods stay confined to the
+    /// writer gate's admitting and state-changing methods stay confined to the
     /// poison/recover modules, and the recovery entry points cite the
     /// recovery invariants they uphold.
     Recovery,

@@ -69,8 +69,8 @@ pub struct NestedSuccPin {
 }
 
 /// The `[recovery]` table: the online-recovery gate discipline. The
-/// active-writer gate is the single word recovery's quarantine correctness
-/// hangs on, so its state-changing methods must stay confined to the
+/// writer gate is the single word recovery's quarantine correctness hangs
+/// on, so its admitting and state-changing methods must stay confined to the
 /// poison/recover modules, and the recovery entry points must cite the
 /// recovery invariants they uphold. Absent from manifests that predate
 /// online recovery — the rule is inert then.

@@ -1,18 +1,22 @@
 //! Rule family 7: the online-recovery gate discipline (manifest
 //! `[recovery]`).
 //!
-//! Online recovery (DESIGN.md §18) hangs off a single active-writer gate
-//! word: writers enter/exit it, a dying writer poisons it, and recovery
-//! walks it through `begin_recovery`/`finish_recovery`. The quarantine
+//! Online recovery (DESIGN.md §18) hangs off a single writer gate word
+//! holding the tree state: a writer pinned in the tree's epoch domain
+//! `enter`s it with one load, a dying writer poisons it, and recovery
+//! walks it through `begin_recovery`/`finish_recovery`, draining the
+//! writers already past it with one epoch grace period. The quarantine
 //! argument — "no writer is inside the tree while repair rewrites layout
 //! links" — is only as strong as the claim that *nothing else* moves the
-//! gate. This rule proves two source-level facts:
+//! gate or admits a writer past it. This rule proves two source-level
+//! facts:
 //!
-//! 1. **Gate state changes are confined.** Calls to the state-changing
-//!    gate methods (`[recovery].methods`) appear in the core tree only
-//!    inside the registered files (`[recovery].files`, the poison/recover
-//!    modules). A `gate.poison(...)` from, say, a balance helper would be
-//!    an unreviewed transition the recovery protocol never sees.
+//! 1. **Gate transitions are confined.** Calls to the gate methods that
+//!    change its state or admit a writer (`[recovery].methods`) appear in
+//!    the core tree only inside the registered files (`[recovery].files`,
+//!    the poison/recover modules). A `gate.poison(...)` from, say, a
+//!    balance helper would be an unreviewed transition the recovery
+//!    protocol never sees.
 //! 2. **Entry points cite their invariants.** Each file in
 //!    `[recovery].entry_points` must cite every `[recovery].entry_tags`
 //!    invariant as `[inv:<tag>]` in a comment — the same registered tags
@@ -72,7 +76,7 @@ fn gate_confined(files: &[SourceFile], rp: &RecoveryPolicy, core_src: &str, out:
                 line,
                 fingerprint(&["recovery-gate-escape", &rp.gate, &method_t.text]),
                 format!(
-                    "`{}.{}()` changes active-writer gate state outside the registered \
+                    "`{}.{}()` is a writer-gate transition outside the registered \
                      recovery files; quarantine soundness (DESIGN.md §18) requires every \
                      gate transition to go through them",
                     rp.gate, method_t.text
@@ -207,7 +211,7 @@ mod tests {
             lex("core/src/recover.rs", RECOVER_OK),
             lex(
                 "core/src/tree.rs",
-                "fn health(&self) { let _ = self.gate.error(); let _ = self.gate.writers(); }",
+                "fn health(&self) { let _ = self.gate.error(); let _ = self.gate.state(); }",
             ),
         ];
         let out = run(&files);

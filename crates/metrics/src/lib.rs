@@ -464,10 +464,17 @@ mod tests {
     // Feature-ON behaviour: counters actually count, across threads.
     // ------------------------------------------------------------------
 
+    /// Serializes the two tests that record into the process-global
+    /// counters, so `enabled_records_and_shards` can require an exact diff.
+    #[cfg(feature = "metrics")]
+    #[allow(clippy::disallowed_types)] // test gate, not tree-protocol state
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[cfg(feature = "metrics")]
     #[test]
     fn enabled_records_and_shards() {
         const { assert!(ENABLED) };
+        let _gate = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let before = Snapshot::take();
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 10_000;
@@ -508,6 +515,7 @@ mod tests {
     #[cfg(feature = "metrics")]
     #[test]
     fn throughput_sanity_enabled() {
+        let _gate = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let t0 = std::time::Instant::now();
         for _ in 0..10_000_000u64 {
             record(Event::HeightUpdate);

@@ -200,6 +200,9 @@ impl Global {
         let g = self.epoch.load(Ordering::Relaxed);
         // Pairs with the fence in `Local::pin`: either this scan sees the
         // announcement, or that thread's re-read sees the newer epoch.
+        // lo-core's writer gate relies on the same pair: a recoverer's scan
+        // after its gate flip either sees a writer's pin or the writer's
+        // gate load sees the flip.
         #[allow(clippy::disallowed_methods)] // EBR protocol fence (module docs)
         fence(Ordering::SeqCst);
         {
@@ -294,7 +297,10 @@ impl Local {
         let mut e = self.global.epoch.load(Ordering::Relaxed);
         loop {
             self.announce.store(e << 1 | 1, Ordering::Relaxed);
-            // Pairs with the first fence in `Global::try_advance`.
+            // Pairs with the first fence in `Global::try_advance`. lo-core's
+            // writer gate relies on it too: a writer loads the gate only
+            // after this fence, so a recoverer that flipped the gate before
+            // its own fences either sees this pin or is seen by the load.
             #[allow(clippy::disallowed_methods)] // EBR protocol fence (module docs)
             fence(Ordering::SeqCst);
             let now = self.global.epoch.load(Ordering::Relaxed);

@@ -263,7 +263,6 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
                         None => report,
                         Some(mut acc) => {
                             acc.strategy = acc.strategy.max(report.strategy);
-                            acc.writers_drained += report.writers_drained;
                             acc.nodes_salvaged += report.nodes_salvaged;
                             acc.nodes_orphaned += report.nodes_orphaned;
                             acc.marks_completed += report.marks_completed;
@@ -325,9 +324,10 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
     /// holds an epoch pin. It may read and write the store, but must not
     /// block on another thread's recovery of a covered shard: recovery
     /// waits for a grace period in that shard's domain, which would wait on
-    /// the caller's own pin. For the same reason [`Self::try_recover`] and
-    /// [`Self::try_recover_shard`] called from `f` decline such a shard
-    /// with [`RecoverError::Pinned`].
+    /// the caller's own pin. So an infallible write from `f` to a covered
+    /// shard that is recovering panics instead of waiting, and for the same
+    /// reason [`Self::try_recover`] and [`Self::try_recover_shard`] called
+    /// from `f` decline such a shard with [`RecoverError::Pinned`].
     pub fn scan_range(&self, range: RangeInclusive<K>, f: impl FnMut(K)) {
         let (lo, hi) = range.into_inner();
         if lo > hi {
