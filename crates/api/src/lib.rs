@@ -8,7 +8,7 @@
 //!
 //! The paper implements a *map* (§3 "our actual implementation and evaluation
 //! use a more general implementation of a map"), so the map interface is the
-//! primary one; [`ConcurrentSet`] is a thin adapter over `ConcurrentMap<K, ()>`.
+//! only one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -141,7 +141,7 @@ pub enum PoisonCause {
     /// An injected fault (the named failpoint) panicked a writer inside a
     /// critical window.
     Failpoint(&'static str),
-    /// A restart loop exceeded the configured `LO_MAX_RESTARTS` bound
+    /// A restart loop exceeded the configured restart budget
     /// (contention-storm / livelock tripwire).
     RestartStorm,
     /// A writer panicked for a reason the tree did not inject (a genuine
@@ -158,7 +158,7 @@ impl std::fmt::Display for PoisonCause {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PoisonCause::Failpoint(name) => write!(f, "injected fault at failpoint `{name}`"),
-            PoisonCause::RestartStorm => write!(f, "restart budget exceeded (LO_MAX_RESTARTS)"),
+            PoisonCause::RestartStorm => write!(f, "restart budget exceeded"),
             PoisonCause::Panic => write!(f, "writer panicked"),
             PoisonCause::UnknownFailpoint(idx) => {
                 write!(f, "injected fault at unknown failpoint #{idx} (newer binary?)")
@@ -390,39 +390,6 @@ pub trait FallibleMap<K: Key, V: Value>: ConcurrentMap<K, V> {
     }
 }
 
-/// A concurrent set view over any `ConcurrentMap<K, ()>`.
-pub struct ConcurrentSet<K: Key, M: ConcurrentMap<K, ()>> {
-    map: M,
-    _k: std::marker::PhantomData<K>,
-}
-
-impl<K: Key, M: ConcurrentMap<K, ()>> ConcurrentSet<K, M> {
-    /// Wraps a unit-valued map as a set.
-    pub fn new(map: M) -> Self {
-        Self { map, _k: std::marker::PhantomData }
-    }
-
-    /// Adds `key`; `true` if it was absent.
-    pub fn add(&self, key: K) -> bool {
-        self.map.insert(key, ())
-    }
-
-    /// Removes `key`; `true` if it was present.
-    pub fn remove(&self, key: &K) -> bool {
-        self.map.remove(key)
-    }
-
-    /// Membership test; lock-free whenever the underlying map's `contains` is.
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains(key)
-    }
-
-    /// Borrows the underlying map.
-    pub fn as_map(&self) -> &M {
-        &self.map
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_types)] // reference map, not tree-protocol state
 mod tests {
@@ -481,7 +448,7 @@ mod tests {
         );
         assert_eq!(
             TreeError::Poisoned(PoisonCause::RestartStorm).to_string(),
-            "tree poisoned: restart budget exceeded (LO_MAX_RESTARTS)"
+            "tree poisoned: restart budget exceeded"
         );
         assert_eq!(TreeError::AllocFailed.to_string(), "node allocation failed");
         assert_eq!(TreeError::Recovering.to_string(), "tree is recovering; retry shortly");
@@ -553,16 +520,5 @@ mod tests {
         assert!(text.contains("recovered (in-place)"));
         assert!(text.contains("salvaged 10"));
         assert!(text.contains("generation 1"));
-    }
-
-    #[test]
-    fn set_adapter() {
-        let s = ConcurrentSet::new(MutexMap(Mutex::new(BTreeMap::new())));
-        assert!(s.add(7));
-        assert!(!s.add(7));
-        assert!(s.contains(&7));
-        assert!(s.remove(&7));
-        assert!(!s.contains(&7));
-        assert_eq!(s.as_map().name(), "mutex-btreemap");
     }
 }

@@ -80,9 +80,9 @@ pub use lo_api::{Health, RecoverError, RecoveryReport, RepairStrategy};
 /// succ-chain cursor; [`QuiescentOrdered`] is the full-snapshot interface.
 pub use lo_api::{ConcurrentMap, OrderedRead, QuiescentOrdered};
 
-/// Overrides the `LO_MAX_RESTARTS` restart-storm bound for this process
-/// (`0` = unlimited). Test hook for driving the storm tripwire without
-/// environment plumbing; not part of the stable API.
+/// Sets the restart-storm bound for this process (`0` = unlimited, the
+/// default). Test hook for driving the storm tripwire; not part of the
+/// stable API.
 #[doc(hidden)]
 pub use poison::set_max_restarts;
 
@@ -91,18 +91,3 @@ pub use poison::set_max_restarts;
 /// Counters are live only when this crate is built with the `metrics`
 /// feature; otherwise every recording call is a compile-time no-op.
 pub use lo_metrics as metrics;
-
-/// Set views over the unit-valued maps.
-pub type LoAvlSet<K> = lo_api::ConcurrentSet<K, LoAvlMap<K, ()>>;
-/// Set view over the unbalanced map.
-pub type LoBstSet<K> = lo_api::ConcurrentSet<K, LoBstMap<K, ()>>;
-
-/// Creates an empty AVL set.
-pub fn avl_set<K: lo_api::Key>() -> LoAvlSet<K> {
-    lo_api::ConcurrentSet::new(LoAvlMap::new())
-}
-
-/// Creates an empty BST set.
-pub fn bst_set<K: lo_api::Key>() -> LoBstSet<K> {
-    lo_api::ConcurrentSet::new(LoBstMap::new())
-}

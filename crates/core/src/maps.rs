@@ -36,11 +36,10 @@ macro_rules! define_map {
                 Self { tree: LoTree::new_in($balanced, $pe, domain) }
             }
 
-            /// The epoch domain this map's guards pin (a cheap clone;
-            /// clones share the domain — see
+            /// The epoch domain this map's guards pin (see
             /// [`EpochDomain::is_same_domain`](crate::EpochDomain)).
-            pub fn epoch_domain(&self) -> crate::domain::EpochDomain {
-                self.tree.domain.clone()
+            pub fn epoch_domain(&self) -> &crate::domain::EpochDomain {
+                &self.tree.domain
             }
 
             /// Inserts `key -> value` if absent; `true` on success.

@@ -84,7 +84,7 @@ impl HeldLock {
 pub(crate) const CODE_HEALTHY: u32 = 0;
 /// An uninjected (genuine) writer panic.
 pub(crate) const CODE_PANIC: u32 = 1;
-/// A restart loop exceeded `LO_MAX_RESTARTS`.
+/// A restart loop exceeded the restart budget ([`set_max_restarts`]).
 pub(crate) const CODE_RESTART_STORM: u32 = 2;
 /// Base for failpoint causes: `CODE_FAILPOINT_BASE + FailPoint::index()`.
 pub(crate) const CODE_FAILPOINT_BASE: u32 = 3;
@@ -403,35 +403,21 @@ pub(crate) fn expect_writable<T>(
 }
 
 // ----------------------------------------------------------------------
-// Restart-storm budget (LO_MAX_RESTARTS).
+// Restart-storm budget.
 // ----------------------------------------------------------------------
 
-/// Runtime override for the restart bound; `u32::MAX` = not set.
-static MAX_RESTARTS_OVERRIDE: AtomicU32 = AtomicU32::new(u32::MAX);
+/// Process-wide restart bound; `0` = unlimited, the default.
+static MAX_RESTARTS: AtomicU32 = AtomicU32::new(0);
 
-/// Process-wide restart bound: the override if set, else `LO_MAX_RESTARTS`
-/// from the environment (cached), else `0` = unlimited.
-fn max_restarts() -> u32 {
-    let ov = MAX_RESTARTS_OVERRIDE.load(Ordering::Relaxed);
-    if ov != u32::MAX {
-        return ov;
-    }
-    static FROM_ENV: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *FROM_ENV.get_or_init(|| {
-        std::env::var("LO_MAX_RESTARTS").ok().and_then(|s| s.parse().ok()).unwrap_or(0)
-    })
-}
-
-/// Overrides `LO_MAX_RESTARTS` for this process (`0` = unlimited). Test
-/// hook — exported `#[doc(hidden)]` from the crate root.
+/// Sets the restart bound for this process (`0` = unlimited). Test hook —
+/// exported `#[doc(hidden)]` from the crate root.
 pub fn set_max_restarts(limit: u32) {
-    MAX_RESTARTS_OVERRIDE.store(limit, Ordering::Relaxed);
+    MAX_RESTARTS.store(limit, Ordering::Relaxed);
 }
 
 /// Per-operation consecutive-restart counter. Each restart edge calls
 /// [`tick`](Self::tick); exceeding the configured bound panics through the
-/// poisoning path (a storm tripwire, not a recovery mechanism), and the
-/// high-water count feeds the `restarts-consecutive-max` gauge.
+/// poisoning path (a storm tripwire, not a recovery mechanism).
 pub(crate) struct RestartBudget {
     count: u32,
     limit: u32,
@@ -442,7 +428,11 @@ pub(crate) struct RestartBudget {
 
 impl RestartBudget {
     pub(crate) fn new() -> Self {
-        RestartBudget { count: 0, limit: max_restarts(), attempt: lo_metrics::stamp() }
+        RestartBudget {
+            count: 0,
+            limit: MAX_RESTARTS.load(Ordering::Relaxed),
+            attempt: lo_metrics::stamp(),
+        }
     }
 
     #[inline]
@@ -452,11 +442,10 @@ impl RestartBudget {
         let prev = std::mem::replace(&mut self.attempt, lo_metrics::stamp());
         lo_metrics::span(lo_metrics::Phase::Restart, prev);
         self.count += 1;
-        lo_metrics::note_max(lo_metrics::Event::RestartsConsecutiveMax, u64::from(self.count));
         if self.limit != 0 && self.count >= self.limit {
             set_pending(CODE_RESTART_STORM);
             panic_with_effect(&format!(
-                "operation restarted {} times without progress (LO_MAX_RESTARTS={})",
+                "operation restarted {} times without progress (restart budget {})",
                 self.count, self.limit
             ));
         }

@@ -64,7 +64,7 @@ impl<K: Key, V: Value> LoTree<K, V> {
     /// restart `event` (`SuccLockRestart` or `TreeLockRestart`), then abort
     /// (through the poisoning path) if a dead thread already poisoned the
     /// tree — retrying against stranded structure can livelock — and tick
-    /// the `LO_MAX_RESTARTS` storm budget.
+    /// the restart-storm budget.
     #[inline]
     pub(crate) fn writer_restart(&self, budget: &mut RestartBudget, event: Event) {
         record(event);

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Which rule family produced a finding. The string forms are stable: they
-/// key baseline entries and the JSON output.
+/// key the JSON output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Per-field atomic-ordering policy (manifest `[atomics]`).
@@ -26,7 +26,7 @@ pub enum Rule {
     /// poison/recover modules, and the recovery entry points cite the
     /// recovery invariants they uphold.
     Recovery,
-    /// Manifest/baseline self-consistency (stale entries, bad schema).
+    /// Manifest self-consistency (stale entries, bad schema).
     Manifest,
 }
 
@@ -53,8 +53,8 @@ pub struct Finding {
     pub file: String,
     /// 1-based line (0 = whole-file / whole-workspace finding).
     pub line: u32,
-    /// Stable content fingerprint for baseline matching: independent of the
-    /// line number so entries survive unrelated edits above the site.
+    /// Stable content fingerprint: independent of the line number, so it
+    /// survives unrelated edits above the site.
     pub fingerprint: String,
     pub message: String,
 }
@@ -75,11 +75,6 @@ impl Finding {
             message: message.into(),
         }
     }
-
-    /// The baseline key: `(rule, file, fingerprint)`.
-    pub fn baseline_key(&self) -> (String, String, String) {
-        (self.rule.name().to_string(), self.file.clone(), self.fingerprint.clone())
-    }
 }
 
 /// Full lint report: findings plus rule-derived facts worth exporting
@@ -90,10 +85,6 @@ pub struct Report {
     /// Class-level lock-nesting edges `held -> acquired` with an example
     /// site each, exported into the JSON for external tooling.
     pub lock_graph: Vec<LockEdge>,
-    /// Findings suppressed by the baseline (reported separately).
-    pub suppressed: usize,
-    /// Baseline entries that matched nothing (stale).
-    pub stale_baseline: Vec<String>,
     /// Files scanned, for the summary line.
     pub files_scanned: usize,
 }
@@ -133,19 +124,15 @@ impl Report {
                 let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.rule.name(), f.message);
             }
         }
-        for s in &self.stale_baseline {
-            let _ = writeln!(out, "warning: stale baseline entry: {s}");
-        }
         let mut by_rule: BTreeMap<&str, usize> = BTreeMap::new();
         for f in &self.findings {
             *by_rule.entry(f.rule.name()).or_default() += 1;
         }
         let _ = writeln!(
             out,
-            "lo-lint: {} finding(s) in {} file(s) scanned ({} suppressed by baseline)",
+            "lo-lint: {} finding(s) in {} file(s) scanned",
             self.findings.len(),
-            self.files_scanned,
-            self.suppressed
+            self.files_scanned
         );
         for (rule, n) in by_rule {
             let _ = writeln!(out, "  {rule}: {n}");
@@ -195,18 +182,7 @@ impl Report {
         if !self.lock_graph.is_empty() {
             out.push_str("\n  ");
         }
-        let _ = write!(
-            out,
-            "],\n  \"files_scanned\": {},\n  \"suppressed\": {},\n  \"stale_baseline\": [",
-            self.files_scanned, self.suppressed
-        );
-        for (i, s) in self.stale_baseline.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(s));
-        }
-        out.push_str("]\n}\n");
+        let _ = write!(out, "],\n  \"files_scanned\": {}\n}}\n", self.files_scanned);
         out
     }
 }

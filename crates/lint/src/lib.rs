@@ -16,7 +16,6 @@
 //! protocol it checks is local and syntactic by design (that is what makes
 //! the discipline reviewable in the first place).
 
-pub mod baseline;
 pub mod findings;
 pub mod lexer;
 pub mod minitoml;
@@ -33,8 +32,6 @@ pub struct Config {
     pub root: PathBuf,
     /// Manifest path (default `<root>/ordering_policy.toml`).
     pub manifest: Option<PathBuf>,
-    /// Baseline path (default `<root>/lint_baseline.toml`; optional file).
-    pub baseline: Option<PathBuf>,
 }
 
 /// Directory names never scanned: build outputs, VCS, test-support trees
@@ -99,19 +96,6 @@ pub fn run_lint(cfg: &Config) -> Result<Report, String> {
     rules::docsync::check(&files, &policy, &mut found);
     rules::recovery::check(&files, &policy, &mut found);
 
-    let baseline_path = cfg
-        .baseline
-        .clone()
-        .unwrap_or_else(|| cfg.root.join("lint_baseline.toml"));
-    let found = if baseline_path.exists() {
-        let table = minitoml::parse_file(&baseline_path)?;
-        let bl = baseline::Baseline::from_table(&table)
-            .map_err(|e| format!("{}: {e}", baseline_path.display()))?;
-        bl.apply(found, &mut report)
-    } else {
-        found
-    };
-
     report.findings = found;
     report.sort();
     report.lock_graph.sort_by(|a, b| {
@@ -140,9 +124,9 @@ pub fn is_dirty(report: &Report) -> bool {
     !report.findings.is_empty()
 }
 
-/// Convenience for tests: lint `root` with default manifest/baseline paths.
+/// Convenience for tests: lint `root` with the default manifest path.
 pub fn lint_root(root: &Path) -> Result<Report, String> {
-    run_lint(&Config { root: root.to_path_buf(), manifest: None, baseline: None })
+    run_lint(&Config { root: root.to_path_buf(), manifest: None })
 }
 
 // Re-export for fixture tests.

@@ -3,7 +3,7 @@
 //! Exit codes: 0 clean (or findings without `--deny`), 1 findings with
 //! `--deny`, 2 operational error (bad manifest, unreadable workspace).
 
-use lo_lint::{baseline, find_root, is_dirty, run_lint, Config};
+use lo_lint::{find_root, is_dirty, run_lint, Config};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -11,28 +11,23 @@ const USAGE: &str = "\
 lo-lint — static analyzer for the logical-ordering concurrency protocol
 
 USAGE:
-    lo-lint [--root DIR] [--manifest PATH] [--baseline PATH]
-            [--format text|json] [--out FILE] [--deny] [--write-baseline]
+    lo-lint [--root DIR] [--manifest PATH] [--format text|json] [--out FILE] [--deny]
 
 FLAGS:
     --root DIR         workspace root (default: walk up to ordering_policy.toml)
     --manifest PATH    policy manifest (default: <root>/ordering_policy.toml)
-    --baseline PATH    suppression baseline (default: <root>/lint_baseline.toml)
     --format FMT       `text` (default) or `json`
     --out FILE         also write the report to FILE
-    --deny             exit 1 if any finding survives the baseline
-    --write-baseline   write a baseline suppressing all current findings, then exit
+    --deny             exit 1 if there is any finding
     -h, --help         this help
 ";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut manifest: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut format = "text".to_string();
     let mut out_file: Option<PathBuf> = None;
     let mut deny = false;
-    let mut write_baseline = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -43,15 +38,10 @@ fn main() -> ExitCode {
         let r = match a.as_str() {
             "--root" => take("--root").map(|v| root = Some(PathBuf::from(v))),
             "--manifest" => take("--manifest").map(|v| manifest = Some(PathBuf::from(v))),
-            "--baseline" => take("--baseline").map(|v| baseline_path = Some(PathBuf::from(v))),
             "--format" => take("--format").map(|v| format = v),
             "--out" => take("--out").map(|v| out_file = Some(PathBuf::from(v))),
             "--deny" => {
                 deny = true;
-                Ok(())
-            }
-            "--write-baseline" => {
-                write_baseline = true;
                 Ok(())
             }
             "-h" | "--help" => {
@@ -83,7 +73,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let cfg = Config { root: root.clone(), manifest, baseline: baseline_path.clone() };
+    let cfg = Config { root, manifest };
     let report = match run_lint(&cfg) {
         Ok(r) => r,
         Err(e) => {
@@ -91,21 +81,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if write_baseline {
-        let path = baseline_path.unwrap_or_else(|| root.join("lint_baseline.toml"));
-        let text = baseline::render(&report.findings);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("lo-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "lo-lint: wrote {} suppressing {} finding(s)",
-            path.display(),
-            report.findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
 
     let rendered = match format.as_str() {
         "json" => report.to_json(),

@@ -1,5 +1,5 @@
-//! A minimal TOML subset reader — just enough for `ordering_policy.toml`
-//! and `lint_baseline.toml`, with zero dependencies.
+//! A minimal TOML subset reader — just enough for `ordering_policy.toml`,
+//! with zero dependencies.
 //!
 //! Supported: `[table.path]` headers, `[[array.of.tables]]` headers,
 //! `key = "string"`, `key = 123`, `key = true/false`,

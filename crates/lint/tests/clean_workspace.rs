@@ -22,10 +22,9 @@ fn real_workspace_is_clean() {
     assert!(
         report.findings.is_empty(),
         "the workspace must lint clean; fix the finding or add a reviewed \
-         manifest/baseline entry:\n{}",
+         manifest entry:\n{}",
         report.to_text()
     );
-    assert!(report.stale_baseline.is_empty(), "{:?}", report.stale_baseline);
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! Golden tests over the seeded-violation fixture workspace
 //! (`tests/fixtures/ws`): every rule family must fire exactly the findings
-//! pinned in `golden.json`, and the baseline machinery must suppress by
-//! fingerprint and report stale entries.
+//! pinned in `golden.json`.
 //!
 //! To update the golden after an intentional analyzer change: review the
 //! printed diff, then re-run
@@ -14,14 +13,14 @@ fn fixture_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws")
 }
 
-fn lint_fixture(baseline: Option<PathBuf>) -> lo_lint::findings::Report {
-    run_lint(&Config { root: fixture_root(), manifest: None, baseline })
+fn lint_fixture() -> lo_lint::findings::Report {
+    run_lint(&Config { root: fixture_root(), manifest: None })
         .expect("fixture lint must not fail operationally")
 }
 
 #[test]
 fn seeded_fixture_matches_golden_json() {
-    let got = lint_fixture(None).to_json();
+    let got = lint_fixture().to_json();
     let golden = fixture_root().join("golden.json");
     let want = std::fs::read_to_string(&golden).expect("golden.json must exist");
     if got != want {
@@ -32,7 +31,7 @@ fn seeded_fixture_matches_golden_json() {
 
 #[test]
 fn every_rule_family_fires_on_the_fixture() {
-    let report = lint_fixture(None);
+    let report = lint_fixture();
     let mut rules: Vec<&str> = report.findings.iter().map(|f| f.rule.name()).collect();
     rules.sort_unstable();
     rules.dedup();
@@ -54,7 +53,7 @@ fn negative_sites_stay_clean() {
     // The fixture's sanctioned sites must NOT be flagged: the pinned
     // succ-in-succ nesting (`remove_ok`), the restart idiom (`restart_ok`),
     // the allowlisted SeqCst file, and the allowlisted raw-lock file.
-    let report = lint_fixture(None);
+    let report = lint_fixture();
     for f in &report.findings {
         assert!(
             !f.message.contains("remove_ok") && !f.message.contains("restart_ok"),
@@ -75,25 +74,6 @@ fn negative_sites_stay_clean() {
 }
 
 #[test]
-fn baseline_suppresses_by_fingerprint_and_reports_stale() {
-    let plain = lint_fixture(None);
-    let with_baseline = lint_fixture(Some(fixture_root().join("baseline_partial.toml")));
-
-    assert_eq!(with_baseline.suppressed, 2, "both raw-lock entries must match");
-    assert_eq!(
-        with_baseline.findings.len(),
-        plain.findings.len() - 2,
-        "exactly the two suppressed findings must disappear"
-    );
-    assert!(
-        with_baseline.findings.iter().all(|f| f.rule.name() != "raw-lock"),
-        "no raw-lock finding may survive the baseline"
-    );
-    assert_eq!(with_baseline.stale_baseline.len(), 1, "{:?}", with_baseline.stale_baseline);
-    assert!(with_baseline.stale_baseline[0].contains("never_existed"));
-}
-
-#[test]
 fn golden_json_is_deterministic() {
-    assert_eq!(lint_fixture(None).to_json(), lint_fixture(None).to_json());
+    assert_eq!(lint_fixture().to_json(), lint_fixture().to_json());
 }

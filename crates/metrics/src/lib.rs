@@ -148,10 +148,6 @@ events! {
     /// The node arena returned a fully-empty chunk to the OS (beyond the
     /// one-chunk hysteresis).
     ArenaChunkFree => "arena-chunk-free",
-    /// High-water gauge (via [`note_max`]): the largest number of
-    /// *consecutive* restarts any single operation suffered before
-    /// completing — the restart-storm telemetry behind `LO_MAX_RESTARTS`.
-    RestartsConsecutiveMax => "restarts-consecutive-max",
     /// An ordered-cursor traversal was anchored (one per `scan_range` /
     /// `for_each_in_order` / `range_count` / ceiling / floor / pop call).
     ScanStarted => "scan-started",
@@ -259,60 +255,6 @@ pub fn add(_event: Event, _n: u64) {}
 #[inline(always)]
 pub fn record(event: Event) {
     add(event, 1);
-}
-
-#[cfg(feature = "metrics")]
-mod gauges {
-    use super::*;
-
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    /// High-water gauges, one slot per event (only a few events use theirs).
-    pub(crate) static MAX: [AtomicU64; Event::COUNT] = [ZERO; Event::COUNT];
-}
-
-/// Raises the high-water gauge for `event` to at least `value`
-/// (`fetch_max`; no-op unless the `metrics` feature is enabled).
-///
-/// Gauges are a separate family from the sharded counters: they track a
-/// process-wide maximum (e.g. [`Event::RestartsConsecutiveMax`]) rather
-/// than a sum, so they live in one global slot per event instead of shards.
-#[cfg(feature = "metrics")]
-#[inline]
-pub fn note_max(event: Event, value: u64) {
-    let slot = &gauges::MAX[event as usize];
-    // Cheap pre-check: storms are rare, reads are not.
-    if value > slot.load(Ordering::Relaxed) {
-        slot.fetch_max(value, Ordering::Relaxed);
-    }
-}
-
-/// No-op (the `metrics` feature is disabled).
-#[cfg(not(feature = "metrics"))]
-#[inline(always)]
-pub fn note_max(_event: Event, _value: u64) {}
-
-/// Current high-water gauge for `event` (always `0` with `metrics` off).
-#[inline]
-pub fn max_gauge(event: Event) -> u64 {
-    #[cfg(feature = "metrics")]
-    {
-        gauges::MAX[event as usize].load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "metrics"))]
-    {
-        let _ = event;
-        0
-    }
-}
-
-/// Resets the high-water gauge for `event` to zero (test/trial isolation).
-#[inline]
-pub fn reset_max_gauge(event: Event) {
-    #[cfg(feature = "metrics")]
-    gauges::MAX[event as usize].store(0, Ordering::Relaxed);
-    #[cfg(not(feature = "metrics"))]
-    let _ = event;
 }
 
 /// A point-in-time copy of every counter, summed across shards.
@@ -527,21 +469,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn max_gauge_high_water() {
-        let e = Event::RestartsConsecutiveMax;
-        reset_max_gauge(e);
-        assert_eq!(max_gauge(e), 0);
-        note_max(e, 5);
-        note_max(e, 3); // lower value must not regress the gauge
-        assert_eq!(max_gauge(e), 5);
-        note_max(e, 9);
-        assert_eq!(max_gauge(e), 9);
-        reset_max_gauge(e);
-        assert_eq!(max_gauge(e), 0);
-    }
-
     // ------------------------------------------------------------------
     // Feature-OFF behaviour: provably inert.
     // ------------------------------------------------------------------
@@ -553,8 +480,6 @@ mod tests {
         for e in Event::ALL {
             record(e);
             add(e, 1_000);
-            note_max(e, 7);
-            assert_eq!(max_gauge(e), 0);
         }
         let s = Snapshot::take();
         assert!(s.is_zero(), "disabled build must never observe a count");

@@ -31,12 +31,11 @@
 //! already lock-free, so the frontend forwards them straight to the store.
 
 use crate::router::{HashPartitioner, Partitioner, RangePartitioner};
-use crate::store::{ShardMap, ShardedStore};
+use crate::store::ShardedStore;
 use lo_api::{
     CheckInvariants, ConcurrentMap, FallibleMap, Health, Key, OrderedRead, QuiescentOrdered,
     RecoverError, RecoveryReport, TreeError, Value,
 };
-use lo_core::LoAvlMap;
 use lo_core::sync::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -86,25 +85,20 @@ impl<K, V> Lane<K, V> {
 /// The flat-combining frontend (module docs). Wraps a [`ShardedStore`] and
 /// implements the same map traits; writes are batched per shard, reads
 /// pass through.
-pub struct BatchedStore<
-    K: Key,
-    V: Value,
-    M: ShardMap<K, V> = LoAvlMap<K, V>,
-    P: Partitioner<K> = HashPartitioner<K>,
-> {
-    store: ShardedStore<K, V, M, P>,
+pub struct BatchedStore<K: Key, V: Value, P: Partitioner<K> = HashPartitioner<K>> {
+    store: ShardedStore<K, V, P>,
     lanes: Vec<Lane<K, V>>,
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> BatchedStore<K, V, M, P> {
+impl<K: Key, V: Value, P: Partitioner<K>> BatchedStore<K, V, P> {
     /// Wraps `store` with one combining lane per shard.
-    pub fn new(store: ShardedStore<K, V, M, P>) -> Self {
+    pub fn new(store: ShardedStore<K, V, P>) -> Self {
         let lanes = (0..store.n_shards()).map(|_| Lane::new()).collect();
         Self { store, lanes }
     }
 
     /// Borrows the wrapped store (e.g. for per-shard health inspection).
-    pub fn inner(&self) -> &ShardedStore<K, V, M, P> {
+    pub fn inner(&self) -> &ShardedStore<K, V, P> {
         &self.store
     }
 
@@ -112,7 +106,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> BatchedStore<K, V, 
     /// published-but-undrained op would require a `&self` submitter still
     /// blocked inside [`Self::try_insert`]/[`Self::try_remove`], which
     /// `self`-by-value rules out.
-    pub fn into_inner(self) -> ShardedStore<K, V, M, P> {
+    pub fn into_inner(self) -> ShardedStore<K, V, P> {
         self.store
     }
 
@@ -168,16 +162,13 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> BatchedStore<K, V, 
 
     /// Drains the lane until its queue stays empty: swaps the queue out
     /// (releasing the queue lock *before* touching the tree) and executes
-    /// the batch under a single epoch guard — every per-op pin inside the
-    /// tree is then a reentrant counter bump on the same thread handle,
-    /// which is the amortization this frontend exists for.
+    /// the batch under one guard of the shard's own epoch domain. Each op
+    /// still pins that domain inside the tree, so the outer guard is only
+    /// an amortization: every per-op pin is then a reentrant counter bump
+    /// on the same thread handle, which is what this frontend exists for.
     fn drain(&self, shard: usize, lane: &Lane<K, V>) {
         let map = self.store.shard(shard);
-        debug_assert!(
-            map.domain().is_same_domain(self.store.domain_of(shard)),
-            "lane {shard} would batch under a foreign epoch domain"
-        );
-        let _guard = self.store.domain_of(shard).pin();
+        let _guard = map.epoch_domain().pin();
         loop {
             let batch = std::mem::take(&mut *lane.queue.lock());
             if batch.is_empty() {
@@ -238,9 +229,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> BatchedStore<K, V, 
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ConcurrentMap<K, V>
-    for BatchedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> ConcurrentMap<K, V> for BatchedStore<K, V, P> {
     fn insert(&self, key: K, value: V) -> bool {
         BatchedStore::insert(self, key, value)
     }
@@ -261,9 +250,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ConcurrentMap<K, V>
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> FallibleMap<K, V>
-    for BatchedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> FallibleMap<K, V> for BatchedStore<K, V, P> {
     fn try_insert(&self, key: K, value: V) -> Result<bool, TreeError> {
         BatchedStore::try_insert(self, key, value)
     }
@@ -281,9 +268,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> FallibleMap<K, V>
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> OrderedRead<K>
-    for BatchedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> OrderedRead<K> for BatchedStore<K, V, P> {
     fn min_key(&self) -> Option<K> {
         self.store.min_key()
     }
@@ -307,17 +292,13 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> OrderedRead<K>
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> QuiescentOrdered<K>
-    for BatchedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> QuiescentOrdered<K> for BatchedStore<K, V, P> {
     fn keys_in_order(&self) -> Vec<K> {
         self.store.keys_in_order()
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> CheckInvariants
-    for BatchedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> CheckInvariants for BatchedStore<K, V, P> {
     fn check_invariants(&self) {
         for (i, lane) in self.lanes.iter().enumerate() {
             assert!(
@@ -329,24 +310,20 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> CheckInvariants
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> std::fmt::Debug
-    for BatchedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> std::fmt::Debug for BatchedStore<K, V, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchedStore").field("store", &self.store).finish()
     }
 }
 
-impl<K: Key + std::hash::Hash, V: Value, M: ShardMap<K, V>>
-    BatchedStore<K, V, M, HashPartitioner<K>>
-{
+impl<K: Key + std::hash::Hash, V: Value> BatchedStore<K, V, HashPartitioner<K>> {
     /// An `n`-way hash-routed batched store.
     pub fn hash_sharded(n: usize) -> Self {
         Self::new(ShardedStore::hash_sharded(n))
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>> BatchedStore<K, V, M, RangePartitioner<K>> {
+impl<K: Key, V: Value> BatchedStore<K, V, RangePartitioner<K>> {
     /// A range-routed batched store with `splits.len() + 1` shards.
     pub fn range_sharded(splits: Vec<K>) -> Self {
         Self::new(ShardedStore::range_sharded(splits))
@@ -407,9 +384,7 @@ mod tests {
 
     #[test]
     fn batched_and_direct_views_agree() {
-        let b = BatchedStore::<i64, u64, LoAvlMap<i64, u64>, RangePartitioner<i64>>::range_sharded(
-            vec![0],
-        );
+        let b = BatchedStore::<i64, u64, RangePartitioner<i64>>::range_sharded(vec![0]);
         for k in -20i64..20 {
             assert!(b.insert(k, 7));
         }

@@ -11,9 +11,10 @@
 //! `lo-store` composes N trees into one map and removes both ceilings:
 //!
 //! * [`ShardedStore`] — keyspace-sharded composition. A [`Partitioner`]
-//!   (hash or range) fixes each key's home shard; each shard is a full
-//!   logical-ordering tree born into its **own** [`lo_core::EpochDomain`],
-//!   so grace periods and failures are per-shard. Cross-shard range scans
+//!   (hash or range) fixes each key's home shard; each shard is an LO-AVL
+//!   tree ([`lo_core::LoAvlMap`], the paper's headline structure) born
+//!   into its **own** [`lo_core::EpochDomain`], so grace periods and
+//!   failures are per-shard. Cross-shard range scans
 //!   stitch the per-shard lock-free cursors into one strictly ascending
 //!   stream with no global lock. Health is per-shard
 //!   ([`lo_api::Health::Degraded`] carries the unwritable-shard bitmask)
@@ -39,5 +40,5 @@ pub mod router;
 pub mod store;
 
 pub use fc::BatchedStore;
-pub use router::{HashPartitioner, Partitioner, RangePartitioner, ShardRouter, MAX_SHARDS};
-pub use store::{ShardMap, ShardedStore};
+pub use router::{HashPartitioner, Partitioner, RangePartitioner, MAX_SHARDS};
+pub use store::ShardedStore;

@@ -149,50 +149,6 @@ impl<K: Key + Hash> Partitioner<K> for HashPartitioner<K> {
     }
 }
 
-/// Thin routing front door the store embeds: validates the partitioner once
-/// and exposes the routing queries with debug-checked bounds.
-pub struct ShardRouter<K: Key, P: Partitioner<K>> {
-    partitioner: P,
-    _k: PhantomData<fn(K)>,
-}
-
-impl<K: Key, P: Partitioner<K>> ShardRouter<K, P> {
-    /// Wraps `partitioner`; panics if it reports zero or more than
-    /// [`MAX_SHARDS`] shards.
-    pub fn new(partitioner: P) -> Self {
-        let n = partitioner.n_shards();
-        assert!(
-            (1..=MAX_SHARDS).contains(&n),
-            "partitioner reports {n} shards, outside 1..={MAX_SHARDS}"
-        );
-        Self { partitioner, _k: PhantomData }
-    }
-
-    /// Number of shards routed across.
-    pub fn n_shards(&self) -> usize {
-        self.partitioner.n_shards()
-    }
-
-    /// The shard owning `key`.
-    pub fn shard_of(&self, key: &K) -> usize {
-        let i = self.partitioner.shard_of(key);
-        debug_assert!(i < self.n_shards(), "partitioner routed {key:?} to shard {i}");
-        i
-    }
-
-    /// See [`Partitioner::cover`].
-    pub fn cover(&self, lo: &K, hi: &K) -> Range<usize> {
-        let cover = self.partitioner.cover(lo, hi);
-        debug_assert!(cover.end <= self.n_shards(), "partitioner covered {cover:?}");
-        cover
-    }
-
-    /// Borrows the wrapped partitioner.
-    pub fn partitioner(&self) -> &P {
-        &self.partitioner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,15 +215,5 @@ mod tests {
     #[should_panic(expected = "outside 1..=")]
     fn hash_rejects_zero_shards() {
         let _ = HashPartitioner::<i64>::new(0);
-    }
-
-    #[test]
-    fn router_bounds_check() {
-        let r = ShardRouter::new(RangePartitioner::new(vec![10i64]));
-        assert_eq!(r.n_shards(), 2);
-        assert_eq!(r.shard_of(&9), 0);
-        assert_eq!(r.shard_of(&10), 1);
-        assert_eq!(r.cover(&0, &20), 0..2);
-        assert_eq!(r.partitioner().splits(), &[10]);
     }
 }

@@ -20,119 +20,35 @@
 //! yields, so the shards' chain misses overlap too instead of queueing
 //! (DESIGN.md §19.3).
 
-use crate::router::{HashPartitioner, Partitioner, RangePartitioner, ShardRouter, MAX_SHARDS};
+use crate::router::{HashPartitioner, Partitioner, RangePartitioner, MAX_SHARDS};
 use lo_api::{
     CheckInvariants, ConcurrentMap, FallibleMap, Health, Key, OrderedRead, QuiescentOrdered,
     RecoverError, RecoveryReport, TreeError, Value,
 };
-use lo_core::{EpochDomain, LoAvlMap, LoBstMap, LoPeAvlMap, LoPeBstMap, RangeCursor};
+use lo_core::{EpochDomain, LoAvlMap, RangeCursor};
 use std::hash::Hash;
-use std::marker::PhantomData;
-use std::ops::{Bound, Range, RangeBounds, RangeInclusive};
+use std::ops::{Bound, Range, RangeInclusive};
 
-/// What the store needs from a shard beyond the shared map traits: being
-/// born into a caller-supplied epoch domain, and the quiescent census /
-/// recovery accessors the store aggregates. Implemented by all four
-/// `lo-core` map variants.
-pub trait ShardMap<K: Key, V: Value>:
-    ConcurrentMap<K, V>
-    + FallibleMap<K, V>
-    + OrderedRead<K>
-    + QuiescentOrdered<K>
-    + CheckInvariants
-    + 'static
-{
-    /// Constructs an empty shard whose guards pin `domain`.
-    fn new_in_domain(domain: EpochDomain) -> Self;
-
-    /// The domain this shard pins (clones share the domain).
-    fn domain(&self) -> EpochDomain;
-
-    /// A lock-free ascending cursor over the shard's live keys in `range`;
-    /// pins the shard's domain until dropped.
-    fn range_cursor(&self, range: impl RangeBounds<K>) -> RangeCursor<'_, K, V>;
-
-    /// Monotone per-shard recovery generation (0 as constructed).
-    fn recovery_generation(&self) -> u32;
-
-    /// Nodes physically present in the layout (quiescent use).
-    fn physical_node_count(&self) -> usize;
-
-    /// Logically-deleted nodes still occupying the layout (quiescent use).
-    fn zombie_count(&self) -> usize;
-
-    /// Live key count (quiescent use).
-    fn len(&self) -> usize;
-
-    /// Whether the shard holds no live keys (quiescent use).
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// N LO-AVL trees ([`LoAvlMap`], the paper's headline structure) composed
+/// into one [`ConcurrentMap`]/[`FallibleMap`]/[`OrderedRead`] instance
+/// (module docs for the protocol). Defaults to hash routing.
+pub struct ShardedStore<K: Key, V: Value, P: Partitioner<K> = HashPartitioner<K>> {
+    partitioner: P,
+    shards: Vec<LoAvlMap<K, V>>,
 }
 
-macro_rules! impl_shard_map {
-    ($($map:ident),+ $(,)?) => {$(
-        impl<K: Key, V: Value> ShardMap<K, V> for $map<K, V> {
-            fn new_in_domain(domain: EpochDomain) -> Self {
-                $map::new_in(domain)
-            }
-            fn domain(&self) -> EpochDomain {
-                self.epoch_domain()
-            }
-            fn range_cursor(&self, range: impl RangeBounds<K>) -> RangeCursor<'_, K, V> {
-                $map::range_cursor(self, range)
-            }
-            fn recovery_generation(&self) -> u32 {
-                $map::recovery_generation(self)
-            }
-            fn physical_node_count(&self) -> usize {
-                $map::physical_node_count(self)
-            }
-            fn zombie_count(&self) -> usize {
-                $map::zombie_count(self)
-            }
-            fn len(&self) -> usize {
-                $map::len(self)
-            }
-        }
-    )+};
-}
-
-impl_shard_map!(LoAvlMap, LoBstMap, LoPeAvlMap, LoPeBstMap);
-
-/// N logical-ordering trees composed into one
-/// [`ConcurrentMap`]/[`FallibleMap`]/[`OrderedRead`] instance (module docs
-/// for the protocol). Defaults: AVL shards, hash routing.
-pub struct ShardedStore<
-    K: Key,
-    V: Value,
-    M: ShardMap<K, V> = LoAvlMap<K, V>,
-    P: Partitioner<K> = HashPartitioner<K>,
-> {
-    router: ShardRouter<K, P>,
-    shards: Vec<M>,
-    /// The registered domain of each shard, kept alongside so the store
-    /// (and the batched frontend) can debug-assert an operation executes
-    /// under its own shard's epoch and not a neighbour's.
-    domains: Vec<EpochDomain>,
-    _v: PhantomData<fn(V)>,
-}
-
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, M, P> {
+impl<K: Key, V: Value, P: Partitioner<K>> ShardedStore<K, V, P> {
     /// Builds a store routed by `partitioner`, constructing one shard per
-    /// partition, each born into a **fresh private epoch domain**.
+    /// partition, each born into a **fresh private epoch domain**. Panics
+    /// if the partitioner reports zero or more than [`MAX_SHARDS`] shards.
     pub fn with_partitioner(partitioner: P) -> Self {
-        let router = ShardRouter::new(partitioner);
-        let n = router.n_shards();
-        debug_assert!(n <= MAX_SHARDS);
-        let mut shards = Vec::with_capacity(n);
-        let mut domains = Vec::with_capacity(n);
-        for _ in 0..n {
-            let domain = EpochDomain::new();
-            shards.push(M::new_in_domain(domain.clone()));
-            domains.push(domain);
-        }
-        Self { router, shards, domains, _v: PhantomData }
+        let n = partitioner.n_shards();
+        assert!(
+            (1..=MAX_SHARDS).contains(&n),
+            "partitioner reports {n} shards, outside 1..={MAX_SHARDS}"
+        );
+        let shards = (0..n).map(|_| LoAvlMap::new_in(EpochDomain::new())).collect();
+        Self { partitioner, shards }
     }
 
     /// Number of shards.
@@ -142,50 +58,40 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
 
     /// The shard owning `key`.
     pub fn shard_of(&self, key: &K) -> usize {
-        self.router.shard_of(key)
+        let i = self.partitioner.shard_of(key);
+        debug_assert!(i < self.n_shards(), "partitioner routed {key:?} to shard {i}");
+        i
     }
 
     /// Borrows shard `i` (panics out of bounds).
-    pub fn shard(&self, i: usize) -> &M {
+    pub fn shard(&self, i: usize) -> &LoAvlMap<K, V> {
         &self.shards[i]
     }
 
     /// The epoch domain shard `i` was born into.
     pub fn domain_of(&self, i: usize) -> &EpochDomain {
-        &self.domains[i]
+        self.shards[i].epoch_domain()
     }
 
-    /// The routing front door.
-    pub fn router(&self) -> &ShardRouter<K, P> {
-        &self.router
-    }
-
-    /// Routes `key` to its shard, debug-asserting the shard still pins the
-    /// domain it was registered with (catches cross-shard guard mix-ups).
-    fn route(&self, key: &K) -> &M {
-        let i = self.router.shard_of(key);
-        let shard = &self.shards[i];
-        debug_assert!(
-            shard.domain().is_same_domain(&self.domains[i]),
-            "shard {i} drifted off its registered epoch domain"
-        );
-        shard
+    /// Routes `key` to its shard.
+    fn route(&self, key: &K) -> &LoAvlMap<K, V> {
+        &self.shards[self.shard_of(key)]
     }
 
     /// Inserts `key -> value` if absent; `true` on success. Panics if the
     /// owning shard is poisoned (use [`Self::try_insert`] to get an error).
     pub fn insert(&self, key: K, value: V) -> bool {
-        ConcurrentMap::insert(self.route(&key), key, value)
+        self.route(&key).insert(key, value)
     }
 
     /// Removes `key`; `true` if present. Panics on a poisoned owning shard.
     pub fn remove(&self, key: &K) -> bool {
-        ConcurrentMap::remove(self.route(key), key)
+        self.route(key).remove(key)
     }
 
     /// Lock-free membership test; works in every health state.
     pub fn contains(&self, key: &K) -> bool {
-        ConcurrentMap::contains(self.route(key), key)
+        self.route(key).contains(key)
     }
 
     /// Lock-free value clone; works in every health state.
@@ -193,23 +99,23 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
     where
         V: Clone,
     {
-        ConcurrentMap::get(self.route(key), key)
+        self.route(key).get(key)
     }
 
     /// Fallible [`Self::insert`]: rejects with [`TreeError::Poisoned`] when
     /// the **owning shard** is unwritable; other shards are unaffected.
     pub fn try_insert(&self, key: K, value: V) -> Result<bool, TreeError> {
-        FallibleMap::try_insert(self.route(&key), key, value)
+        self.route(&key).try_insert(key, value)
     }
 
     /// Fallible [`Self::remove`] (see [`Self::try_insert`]).
     pub fn try_remove(&self, key: &K) -> Result<bool, TreeError> {
-        FallibleMap::try_remove(self.route(key), key)
+        self.route(key).try_remove(key)
     }
 
     /// First unwritable shard's error, if any shard is unwritable.
     pub fn poisoned(&self) -> Option<TreeError> {
-        self.shards.iter().find_map(FallibleMap::poisoned)
+        self.shards.iter().find_map(LoAvlMap::poisoned)
     }
 
     /// Bitmask of unwritable shard indices (bit *i* ⇔ shard *i* poisoned or
@@ -296,12 +202,12 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
 
     /// Smallest key across all shards.
     pub fn min_key(&self) -> Option<K> {
-        self.shards.iter().filter_map(OrderedRead::min_key).min()
+        self.shards.iter().filter_map(LoAvlMap::min_key).min()
     }
 
     /// Largest key across all shards.
     pub fn max_key(&self) -> Option<K> {
-        self.shards.iter().filter_map(OrderedRead::max_key).max()
+        self.shards.iter().filter_map(LoAvlMap::max_key).max()
     }
 
     /// Smallest live key `>= key` across all shards.
@@ -315,7 +221,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
     }
 
     /// Streams every live key in `range` strictly ascending into `f`: a
-    /// k-way merge over one lock-free cursor per shard the router covers
+    /// k-way merge over one lock-free cursor per shard the partitioner covers
     /// (module docs), in O(covered shards) extra memory for either routing.
     /// Emits one `store-cross-shard-scan-stitch` metric per switch of
     /// source shard mid-stream.
@@ -333,7 +239,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
         if lo > hi {
             return;
         }
-        let cover = self.router.cover(&lo, &hi);
+        let cover = self.partitioner.cover(&lo, &hi);
         self.merge(cover, lo, Bound::Included(hi), f);
     }
 
@@ -401,7 +307,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
 
     /// Live key count, summed over shards (quiescent use).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(ShardMap::len).sum()
+        self.shards.iter().map(LoAvlMap::len).sum()
     }
 
     /// Whether no shard holds a live key.
@@ -411,27 +317,32 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
 
     /// Physical node count summed over shards (quiescent use).
     pub fn physical_node_count(&self) -> usize {
-        self.shards.iter().map(ShardMap::physical_node_count).sum()
+        self.shards.iter().map(LoAvlMap::physical_node_count).sum()
     }
 
     /// Zombie count summed over shards (quiescent use).
     pub fn zombie_count(&self) -> usize {
-        self.shards.iter().map(ShardMap::zombie_count).sum()
+        self.shards.iter().map(LoAvlMap::zombie_count).sum()
     }
 
     /// Quiescent validation: every shard's own invariants, plus the
     /// store-level **routing invariant** — every key lives on exactly the
-    /// shard the partitioner routes it to — and the per-shard epoch-domain
-    /// registration. Panics on the first violation.
+    /// shard the partitioner routes it to — and **domain isolation**: no
+    /// shard pins the global epoch domain, and no two shards share one.
+    /// Panics on the first violation.
     pub fn check_invariants(&self) {
         for (i, shard) in self.shards.iter().enumerate() {
             shard.check_invariants();
-            assert!(
-                shard.domain().is_same_domain(&self.domains[i]),
-                "shard {i} is not pinned to its registered epoch domain"
-            );
+            let domain = shard.epoch_domain();
+            assert!(!domain.is_global(), "shard {i} pins the global epoch domain");
+            for (j, earlier) in self.shards[..i].iter().enumerate() {
+                assert!(
+                    !domain.is_same_domain(earlier.epoch_domain()),
+                    "shards {j} and {i} share an epoch domain"
+                );
+            }
             for k in shard.keys_in_order() {
-                let home = self.router.shard_of(&k);
+                let home = self.shard_of(&k);
                 assert!(
                     home == i,
                     "routing invariant violated: key {k:?} found on shard {i} \
@@ -442,14 +353,14 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ShardedStore<K, V, 
     }
 }
 
-impl<K: Key + Hash, V: Value, M: ShardMap<K, V>> ShardedStore<K, V, M, HashPartitioner<K>> {
+impl<K: Key + Hash, V: Value> ShardedStore<K, V, HashPartitioner<K>> {
     /// An `n`-way hash-routed store (see [`HashPartitioner`]).
     pub fn hash_sharded(n: usize) -> Self {
         Self::with_partitioner(HashPartitioner::new(n))
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>> ShardedStore<K, V, M, RangePartitioner<K>> {
+impl<K: Key, V: Value> ShardedStore<K, V, RangePartitioner<K>> {
     /// A range-routed store with `splits.len() + 1` shards (see
     /// [`RangePartitioner`] for the boundary rule).
     pub fn range_sharded(splits: Vec<K>) -> Self {
@@ -457,9 +368,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>> ShardedStore<K, V, M, RangePartitioner
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ConcurrentMap<K, V>
-    for ShardedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> ConcurrentMap<K, V> for ShardedStore<K, V, P> {
     fn insert(&self, key: K, value: V) -> bool {
         ShardedStore::insert(self, key, value)
     }
@@ -480,9 +389,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> ConcurrentMap<K, V>
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> FallibleMap<K, V>
-    for ShardedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> FallibleMap<K, V> for ShardedStore<K, V, P> {
     fn try_insert(&self, key: K, value: V) -> Result<bool, TreeError> {
         ShardedStore::try_insert(self, key, value)
     }
@@ -500,9 +407,7 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> FallibleMap<K, V>
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> OrderedRead<K>
-    for ShardedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> OrderedRead<K> for ShardedStore<K, V, P> {
     fn min_key(&self) -> Option<K> {
         ShardedStore::min_key(self)
     }
@@ -526,25 +431,19 @@ impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> OrderedRead<K>
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> QuiescentOrdered<K>
-    for ShardedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> QuiescentOrdered<K> for ShardedStore<K, V, P> {
     fn keys_in_order(&self) -> Vec<K> {
         ShardedStore::keys_in_order(self)
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> CheckInvariants
-    for ShardedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> CheckInvariants for ShardedStore<K, V, P> {
     fn check_invariants(&self) {
         ShardedStore::check_invariants(self)
     }
 }
 
-impl<K: Key, V: Value, M: ShardMap<K, V>, P: Partitioner<K>> std::fmt::Debug
-    for ShardedStore<K, V, M, P>
-{
+impl<K: Key, V: Value, P: Partitioner<K>> std::fmt::Debug for ShardedStore<K, V, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
             .field("shards", &self.n_shards())
@@ -558,7 +457,7 @@ mod tests {
     use super::*;
 
     type HashStore = ShardedStore<i64, u64>;
-    type RangeStore = ShardedStore<i64, u64, LoAvlMap<i64, u64>, RangePartitioner<i64>>;
+    type RangeStore = ShardedStore<i64, u64, RangePartitioner<i64>>;
 
     #[test]
     fn point_ops_route_and_round_trip() {
@@ -585,7 +484,6 @@ mod tests {
         let s = HashStore::hash_sharded(3);
         for i in 0..3 {
             assert!(!s.domain_of(i).is_global(), "shards must not share the global epoch");
-            assert!(s.shard(i).domain().is_same_domain(s.domain_of(i)));
             for j in 0..3 {
                 if i != j {
                     assert!(
@@ -594,6 +492,44 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn check_invariants_rejects_shards_sharing_a_domain() {
+        let shared = EpochDomain::new();
+        let s: HashStore = ShardedStore {
+            partitioner: HashPartitioner::new(2),
+            shards: vec![LoAvlMap::new_in(shared.clone()), LoAvlMap::new_in(shared)],
+        };
+        let check = std::panic::AssertUnwindSafe(|| s.check_invariants());
+        let err = std::panic::catch_unwind(check)
+            .expect_err("two shards on one domain must fail the isolation check");
+        let msg = err.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains("share an epoch domain"), "{msg}");
+    }
+
+    /// `degraded_mask` is a `u64`, so a store holds 1 to 64 shards whatever
+    /// its partitioner reports.
+    #[test]
+    fn with_partitioner_bounds_the_shard_count() {
+        struct Fixed(usize);
+        impl Partitioner<i64> for Fixed {
+            fn n_shards(&self) -> usize {
+                self.0
+            }
+            fn shard_of(&self, _key: &i64) -> usize {
+                0
+            }
+            fn cover(&self, _lo: &i64, _hi: &i64) -> Range<usize> {
+                0..self.0
+            }
+        }
+        for n in [0, MAX_SHARDS + 1] {
+            let build = || ShardedStore::<i64, u64, _>::with_partitioner(Fixed(n));
+            let err = std::panic::catch_unwind(build).expect_err("the shard count must be checked");
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("outside 1..=64"), "{n} shards: {msg}");
         }
     }
 

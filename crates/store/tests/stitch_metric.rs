@@ -10,11 +10,10 @@
 
 #![cfg(feature = "metrics")]
 
-use lo_core::LoAvlMap;
 use lo_metrics::{Event, Snapshot};
 use lo_store::{RangePartitioner, ShardedStore};
 
-type RangeStore = ShardedStore<i64, u64, LoAvlMap<i64, u64>, RangePartitioner<i64>>;
+type RangeStore = ShardedStore<i64, u64, RangePartitioner<i64>>;
 type HashStore = ShardedStore<i64, u64>;
 
 /// Stitch events recorded while `scan` runs.

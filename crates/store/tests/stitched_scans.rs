@@ -17,7 +17,7 @@ use lo_check::scan::{check_scan_coherence, ScanObservation};
 use lo_core::LoAvlMap;
 use lo_store::{Partitioner, RangePartitioner, ShardedStore};
 
-type RangeStore = ShardedStore<i64, u64, LoAvlMap<i64, u64>, RangePartitioner<i64>>;
+type RangeStore = ShardedStore<i64, u64, RangePartitioner<i64>>;
 type HashStore = ShardedStore<i64, u64>;
 
 /// The two store flavours under one hat for the generic storm driver.
@@ -187,7 +187,7 @@ fn boundary_key_regressions() {
 /// ordered snapshot — to produce byte-identical streams. Returns the
 /// reference for further checks.
 fn assert_matches_reference<P: Partitioner<i64>>(
-    store: &ShardedStore<i64, u64, LoAvlMap<i64, u64>, P>,
+    store: &ShardedStore<i64, u64, P>,
     inserts: usize,
     span: u64,
     windows: &[(i64, i64)],

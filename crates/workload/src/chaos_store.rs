@@ -33,14 +33,13 @@ use std::sync::atomic::Ordering;
 use lo_api::{Health, RecoverError, RecoveryReport, TreeError};
 use lo_check::fail::{activate, silence_injected_panics, FailPoint, FaultPlan};
 use lo_check::rng::Seeder;
-use lo_core::LoAvlMap;
 use lo_store::{RangePartitioner, ShardedStore};
 
 use crate::chaos::{assert_reads_coherent, recover_under_load, Storm, StormCounts};
 
 /// The concrete store the chaos round drives: range-routed AVL shards, so
 /// the key→shard map is transparent to the checks.
-pub type ChaosStore = ShardedStore<i64, u64, LoAvlMap<i64, u64>, RangePartitioner<i64>>;
+pub type ChaosStore = ShardedStore<i64, u64, RangePartitioner<i64>>;
 
 /// Shape of a store chaos round.
 #[derive(Clone, Debug)]

@@ -38,7 +38,7 @@ pub struct Panel {
     pub algorithms: Vec<String>,
     /// Row labels (thread counts).
     pub threads: Vec<usize>,
-    /// `cells[row][col]` = throughput summary for (threads[row], algorithms[col]).
+    /// `cells[row][col]` = throughput summary for (`threads[row]`, `algorithms[col]`).
     pub cells: Vec<Vec<Summary>>,
 }
 

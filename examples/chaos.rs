@@ -130,8 +130,8 @@ fn targeted_kills() {
 
 fn restart_storm() {
     // Forced try_lock failures starve a remove's tree-lock phase; the
-    // LO_MAX_RESTARTS tripwire converts the livelock into a poisoned tree.
-    println!("restart storm (forced try-lock failures under LO_MAX_RESTARTS=16):");
+    // restart-budget tripwire converts the livelock into a poisoned tree.
+    println!("restart storm (forced try-lock failures under a restart budget of 16):");
     let m = LoAvlMap::new();
     for k in [1i64, 2, 3] {
         m.try_insert(k, 0).unwrap();

@@ -4,7 +4,7 @@
 //! grace periods — with another band's.
 //!
 //! Price levels for one side of the book live in a
-//! `ShardedStore<Price, Qty, _, RangePartitioner<Price>>`:
+//! `ShardedStore<Price, Qty, RangePartitioner<Price>>`:
 //! * market-data threads hammer `contains`/`get` (lock-free — routed to
 //!   one shard, never blocked by a rebalance),
 //! * order-entry threads insert and cancel price levels in their band,
@@ -17,13 +17,13 @@
 
 use lo_check::rng::Rng;
 use lo_trees::store::RangePartitioner;
-use lo_trees::{LoAvlMap, ShardedStore};
+use lo_trees::ShardedStore;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 type Price = i64; // ticks
 type Qty = u64;
-type PriceIndex = ShardedStore<Price, Qty, LoAvlMap<Price, Qty>, RangePartitioner<Price>>;
+type PriceIndex = ShardedStore<Price, Qty, RangePartitioner<Price>>;
 
 struct Side {
     levels: PriceIndex,

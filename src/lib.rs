@@ -17,7 +17,7 @@ pub use lo_core::*;
 
 /// The comparator suite (BCCO, CF, chromatic, skip list, EFRB, NM, ...).
 pub use lo_baselines as baselines;
-/// Shared map/set traits.
+/// Shared map traits.
 pub use lo_api as api;
 /// Epoch-based reclamation built from scratch (substrate study).
 pub use lo_reclaim as reclaim;
